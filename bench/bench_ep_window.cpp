@@ -1,20 +1,17 @@
 /**
  * @file
- * Per-window EP latency of the inference hot path (the ROADMAP's
- * "window solves dominate" item).
- *
- * Three views:
- *   1. End-to-end: µs per window of a realistic streaming run
- *      (13 events, k = 6) for the fast path (rank-1 joint updates +
- *      fused quadrature) against the dense reference
- *      (JointStrategy::DenseResolve, full re-solve per site update)
- *      and the MCMC moment method.
- *   2. Kernel micro-costs: one fused tilted-moment quadrature, one
- *      rank-1 joint update and one full factorization at the
- *      window's joint size.
- *   3. EP op counts per window (moment evals, rank-1 updates, full
- *      solves) from a one-window run, so the µs numbers can be
- *      decomposed.
+ * Per-window EP latency of the inference hot path: the chain sweep
+ * (JointStrategy::Chain, block-local marginals from block-tridiagonal
+ * messages) against the dense reference (JointStrategy::DenseResolve,
+ * a full n x n re-solve per site update), at two window shapes:
+ *   - 13 events x k = 6 (n = 78), the paper's deployment shape, also
+ *     timed with scalar quadrature and with MCMC moments;
+ *   - 32 events x k = 8 (n = 256), a wide window, where the dense
+ *     reference runs a single window (each one takes seconds).
+ * Plus kernel micro-costs on the n = 78 chain (one quadrature pass,
+ * one block-local rank-1 update, one chain pass, one dense
+ * factorization) and the chain path's EP op counts per window, so the
+ * µs numbers can be decomposed.
  *
  * Writes BENCH_ep_window.json into the working directory (the CI
  * bench smoke step uploads it).  BP_QUICK=1 shrinks repetitions.
@@ -28,6 +25,7 @@
 
 #include "bench_util.h"
 #include "common/table.h"
+#include "core/bayesperf.h"
 #include "core/ep.h"
 #include "core/inference.h"
 #include "core/quad_kernel.h"
@@ -47,11 +45,11 @@ now()
         .count();
 }
 
-/** A realistic multiplexed measurement run (13 events). */
-sim::PerfResult
-makeRun(const sim::MicroarchDescriptor &uarch,
-        std::vector<sim::EventId> &monitored, std::size_t num_slices)
+/** The 13-event monitored set of the n = 78 shape. */
+std::vector<sim::EventId>
+deploymentEvents(const sim::MicroarchDescriptor &uarch)
 {
+    std::vector<sim::EventId> monitored;
     for (sim::EventId e : uarch.fixedEvents())
         monitored.push_back(e);
     for (sim::Role r :
@@ -60,6 +58,14 @@ makeRun(const sim::MicroarchDescriptor &uarch,
           sim::Role::BranchMisses, sim::Role::StallMem,
           sim::Role::StallTotal, sim::Role::DramBytes})
         monitored.push_back(uarch.idForRole(r));
+    return monitored;
+}
+
+/** A realistic multiplexed measurement run of `monitored`. */
+sim::PerfResult
+makeRun(const sim::MicroarchDescriptor &uarch,
+        const std::vector<sim::EventId> &monitored, std::size_t num_slices)
+{
     const auto workload = wl::makeHibench("KMeans");
     const sim::GroundTruthGenerator generator(uarch, workload);
     const sim::TruthTrace truth = generator.generate(num_slices, 9000);
@@ -67,6 +73,33 @@ makeRun(const sim::MicroarchDescriptor &uarch,
     cfg.seed = 77;
     sim::PerfSession session(uarch, cfg);
     return session.runRoundRobin(truth, monitored);
+}
+
+/**
+ * Gaussian part of a window graph: e events x k slices, slice-major
+ * ids, a walk per event across slices and one three-event invariant
+ * per slice, so the chain's block is one slice (e variables).
+ */
+graph::FactorGraph
+makeChainGraph(std::size_t e, std::size_t k)
+{
+    graph::FactorGraph g;
+    for (std::size_t i = 0; i < e * k; ++i) {
+        const auto v = g.addVariable("v" + std::to_string(i), 100.0);
+        g.addGaussianPrior("p", v, 100.0, 30.0);
+    }
+    auto id = [e](std::size_t t, std::size_t i) {
+        return static_cast<graph::VarId>(t * e + i);
+    };
+    for (std::size_t t = 0; t < k; ++t) {
+        g.addLinearGaussian("inv", {{id(t, 0), 1.0}, {id(t, 1), 1.0},
+                                    {id(t, 2), -1.0}},
+                            0.0, 5.0);
+        for (std::size_t i = 0; t > 0 && i < e; ++i)
+            g.addLinearGaussian("w", {{id(t, i), 1.0}, {id(t - 1, i), -1.0}},
+                                0.0, 10.0);
+    }
+    return g;
 }
 
 struct WindowTiming
@@ -87,10 +120,10 @@ struct WindowTiming
 WindowTiming
 timeConfig(const sim::MicroarchDescriptor &uarch,
            const sim::PerfResult &run, const core::EpConfig &ep,
-           std::size_t reps)
+           std::size_t window_slices, std::size_t reps)
 {
     core::InferenceConfig cfg;
-    cfg.windowSlices = 6;
+    cfg.windowSlices = window_slices;
     cfg.ep = ep;
     const core::InferenceEngine engine(uarch, cfg);
 
@@ -121,69 +154,75 @@ main()
     const sim::MicroarchDescriptor uarch = sim::makeX86Skylake();
     const std::size_t reps = bench::quickMode() ? 1 : 5;
     const std::size_t num_slices = bench::quickMode() ? 24 : 96;
+    constexpr std::size_t kSlices = 6, kWideSlices = 8;
 
-    std::vector<sim::EventId> monitored;
+    // ------------------------------------------- n = 78 end-to-end paths
+    const std::vector<sim::EventId> monitored = deploymentEvents(uarch);
     const sim::PerfResult run = makeRun(uarch, monitored, num_slices);
 
-    // ------------------------------------------------ end-to-end paths
-    core::EpConfig ep_fast; // blocked + SIMD quadrature defaults
-    const WindowTiming fast = timeConfig(uarch, run, ep_fast, reps);
+    core::EpConfig ep_fast; // chain sweep + SIMD quadrature defaults
+    const WindowTiming fast = timeConfig(uarch, run, ep_fast, kSlices, reps);
 
     core::EpConfig ep_scalar = ep_fast;
     ep_scalar.simdQuadrature = false;
-    const WindowTiming scalar = timeConfig(uarch, run, ep_scalar, reps);
-
-    core::EpConfig ep_part = ep_fast;
-    ep_part.partitions = 2;
-    const WindowTiming partitioned = timeConfig(uarch, run, ep_part, reps);
+    const WindowTiming scalar =
+        timeConfig(uarch, run, ep_scalar, kSlices, reps);
 
     core::EpConfig ep_dense;
     ep_dense.jointStrategy = core::JointStrategy::DenseResolve;
-    const WindowTiming dense = timeConfig(uarch, run, ep_dense, reps);
+    const WindowTiming dense = timeConfig(uarch, run, ep_dense, kSlices, reps);
 
     core::EpConfig ep_mcmc;
     ep_mcmc.method = core::MomentMethod::Mcmc;
-    const WindowTiming fast_mcmc = timeConfig(uarch, run, ep_mcmc, reps);
+    const WindowTiming fast_mcmc =
+        timeConfig(uarch, run, ep_mcmc, kSlices, reps);
 
-    TablePrinter table({"config", "us/window", "windows", "sweeps",
+    // ------------------------------------------ n = 256 end-to-end paths
+    const std::vector<sim::EventId> wide_events =
+        core::resolveMonitoredSet(uarch, bench::evaluationEventSet(uarch));
+    const sim::PerfResult wide_run =
+        makeRun(uarch, wide_events, num_slices);
+    const WindowTiming wide_fast =
+        timeConfig(uarch, wide_run, ep_fast, kWideSlices, reps);
+    const sim::PerfResult wide_one =
+        makeRun(uarch, wide_events, kWideSlices);
+    const WindowTiming wide_dense =
+        timeConfig(uarch, wide_one, ep_dense, kWideSlices, 1);
+
+    TablePrinter table({"config", "n", "us/window", "windows", "sweeps",
                         "speedup vs dense"});
-    table.addRow("blocked + SIMD quadrature",
-                 {fast.usPerWindow, static_cast<double>(fast.windows),
-                  static_cast<double>(fast.sweeps),
-                  dense.usPerWindow / fast.usPerWindow});
-    table.addRow("blocked + scalar quadrature",
-                 {scalar.usPerWindow,
-                  static_cast<double>(scalar.windows),
-                  static_cast<double>(scalar.sweeps),
-                  dense.usPerWindow / scalar.usPerWindow});
-    table.addRow("partitioned x2",
-                 {partitioned.usPerWindow,
-                  static_cast<double>(partitioned.windows),
-                  static_cast<double>(partitioned.sweeps),
-                  dense.usPerWindow / partitioned.usPerWindow});
-    table.addRow("dense re-solve reference",
-                 {dense.usPerWindow, static_cast<double>(dense.windows),
-                  static_cast<double>(dense.sweeps), 1.0});
-    table.addRow("rank-1 + MCMC moments",
-                 {fast_mcmc.usPerWindow,
-                  static_cast<double>(fast_mcmc.windows),
-                  static_cast<double>(fast_mcmc.sweeps),
-                  dense.usPerWindow / fast_mcmc.usPerWindow});
+    auto row = [&](const std::string &name, std::size_t n,
+                   const WindowTiming &t, const WindowTiming &ref) {
+        table.addRow(name, {static_cast<double>(n), t.usPerWindow,
+                            static_cast<double>(t.windows),
+                            static_cast<double>(t.sweeps),
+                            ref.usPerWindow / t.usPerWindow});
+    };
+    const std::size_t n = monitored.size() * kSlices;
+    const std::size_t wide_n = wide_events.size() * kWideSlices;
+    row("chain + SIMD quadrature", n, fast, dense);
+    row("chain + scalar quadrature", n, scalar, dense);
+    row("dense re-solve reference", n, dense, dense);
+    row("chain + MCMC moments", n, fast_mcmc, dense);
+    row("chain + SIMD quadrature", wide_n, wide_fast, wide_dense);
+    row("dense re-solve reference", wide_n, wide_dense, wide_dense);
 
-    std::cout << "\nPer-window EP latency (" << monitored.size()
-              << " events, k=6, " << num_slices << " slices, quadrature "
-              << core::activeQuadKernelName() << "):\n";
+    std::cout << "\nPer-window EP latency (" << monitored.size() << "x"
+              << kSlices << " and " << wide_events.size() << "x"
+              << kWideSlices << " events x slices, " << num_slices
+              << " slices, quadrature " << core::activeQuadKernelName()
+              << "):\n";
     table.print(std::cout);
 
     const double w = static_cast<double>(fast.windows ? fast.windows : 1);
-    std::cout << "\nFast-path ops per window: "
+    std::cout << "\nChain ops per window (n=" << n << "): "
               << fast.momentEvals / w << " moment evals, "
               << fast.rank1Updates / w << " rank-1 updates, "
-              << fast.fullSolves / w << " full solves, "
-              << fast.blockFlushes / w << " block flushes; "
+              << fast.fullSolves / w << " chain passes, "
+              << fast.blockFlushes / w << " block factorizations; "
               << fast.allocations << " buffer growths total\n";
 
-    // ------------------------------------------------- kernel micro-costs
+    // ---------------------------------------- kernel micro-costs, n = 78
     const std::size_t quad_iters = bench::quickMode() ? 20000 : 200000;
     double m = 0.0, v = 0.0, sink = 0.0;
     double t0 = now();
@@ -194,62 +233,71 @@ main()
     }
     const double quad_us = 1e6 * (now() - t0) / quad_iters;
 
-    const std::size_t n = monitored.size() * 6;
-    graph::FactorGraph g;
-    for (std::size_t i = 0; i < n; ++i)
-        g.addVariable("v" + std::to_string(i), 100.0);
-    for (std::size_t i = 0; i < n; ++i)
-        g.addGaussianPrior("p", static_cast<graph::VarId>(i), 100.0, 30.0);
-    for (std::size_t i = 0; i + 1 < n; ++i)
-        g.addLinearGaussian("w",
-                            {{static_cast<graph::VarId>(i), 1.0},
-                             {static_cast<graph::VarId>(i + 1), -1.0}},
-                            0.0, 10.0);
-    graph::GaussianSolver solver(g);
-    graph::GaussianJoint joint;
+    const graph::FactorGraph g = makeChainGraph(monitored.size(), kSlices);
+    const std::vector<graph::Gaussian> sites(n, graph::Gaussian::flat());
+    graph::ChainSolver chain;
+    chain.rebind(g);
+    graph::GaussianJoint local;
     graph::SolverScratch scratch;
-    solver.solveInto({}, joint, scratch);
+    std::vector<double> mean, stddev;
 
     const std::size_t r1_iters = bench::quickMode() ? 5000 : 50000;
+    chain.beginSweep(sites);
+    chain.blockMarginal(0, sites, local);
     t0 = now();
     for (std::size_t i = 0; i < r1_iters; ++i) {
-        // Alternate up/down so the joint stays near its start state.
+        // Alternate up/down so the block stays near its start state.
         const double dl = (i % 2 == 0) ? 1e-4 : -1e-4;
         graph::GaussianSolver::rank1SiteUpdate(
-            joint, static_cast<graph::VarId>(i % n), dl, dl, scratch);
+            local, static_cast<graph::VarId>(i % chain.blockSize()), dl, dl,
+            scratch);
     }
     const double rank1_us = 1e6 * (now() - t0) / r1_iters;
 
+    const std::size_t pass_iters = bench::quickMode() ? 500 : 5000;
+    t0 = now();
+    for (std::size_t i = 0; i < pass_iters; ++i)
+        chain.marginals(sites, mean, stddev, local);
+    const double pass_us = 1e6 * (now() - t0) / pass_iters;
+
+    const graph::GaussianSolver solver(g);
+    graph::GaussianJoint joint;
     const std::size_t solve_iters = bench::quickMode() ? 200 : 2000;
     t0 = now();
     for (std::size_t i = 0; i < solve_iters; ++i)
         solver.solveInto({}, joint, scratch);
     const double solve_us = 1e6 * (now() - t0) / solve_iters;
 
-    std::cout << "\nKernel micro-costs at n=" << n << ":\n"
-              << "  fused quadrature (129 pts): " << quad_us << " us\n"
-              << "  rank-1 joint update:        " << rank1_us << " us\n"
-              << "  full factorization:         " << solve_us << " us\n"
-              << "  (sink " << sink << ")\n";
+    std::cout << "\nKernel micro-costs at n=" << n << " (blocks of "
+              << chain.blockSize() << "):\n"
+              << "  fused quadrature (129 pts):  " << quad_us << " us\n"
+              << "  block rank-1 site update:    " << rank1_us << " us\n"
+              << "  chain pass (all marginals):  " << pass_us << " us\n"
+              << "  dense n x n factorization:   " << solve_us << " us\n"
+              << "  (sink " << sink + mean[0] << ")\n";
 
     // ------------------------------------------------------ JSON output
     bench::JsonWriter json;
     json.beginObject()
         .field("events", monitored.size())
-        .field("window_slices", 6)
+        .field("window_slices", kSlices)
         .field("joint_size", n)
         .field("quad_kernel", core::activeQuadKernelName())
-        .field("block_size", ep_fast.blockSize)
-        .field("partitions", ep_part.partitions)
         .field("us_per_window_fast", fast.usPerWindow)
         .field("us_per_window_scalar", scalar.usPerWindow)
-        .field("us_per_window_partitioned", partitioned.usPerWindow)
         .field("us_per_window_dense", dense.usPerWindow)
         .field("us_per_window_mcmc", fast_mcmc.usPerWindow)
         .field("speedup_fast_vs_dense",
                dense.usPerWindow / fast.usPerWindow)
         .field("speedup_simd_vs_scalar",
                scalar.usPerWindow / fast.usPerWindow)
+        .field("wide_events", wide_events.size())
+        .field("wide_window_slices", kWideSlices)
+        .field("wide_joint_size", wide_n)
+        .field("us_per_window_fast_wide", wide_fast.usPerWindow)
+        .field("us_per_window_dense_wide", wide_dense.usPerWindow)
+        .field("speedup_fast_vs_dense_wide",
+               wide_dense.usPerWindow / wide_fast.usPerWindow)
         .field("moment_evals_per_window", fast.momentEvals / w)
         .field("rank1_updates_per_window", fast.rank1Updates / w)
         .field("full_solves_per_window", fast.fullSolves / w)
@@ -257,6 +305,7 @@ main()
         .field("buffer_growths", fast.allocations)
         .field("quadrature_us", quad_us)
         .field("rank1_update_us", rank1_us)
+        .field("chain_pass_us", pass_us)
         .field("full_solve_us", solve_us)
         .endObject();
     if (!json.writeFile("BENCH_ep_window.json")) {

@@ -51,15 +51,13 @@ quadMomentsOnGrid(double cavity_mean, double cavity_var, double loc,
 }
 
 /**
- * One site's moment-matched damped update (Alg. 1 lines 3-7), shared
- * by the sequential and partitioned sweep schedules: computes the
- * cavity and tilted moments, commits the damped site approximation
- * and folds its delta into `site_sums`, and accumulates the relative
- * mean change into `max_rel_change`.  Returns false (touching
- * nothing) when the cavity is improper or degenerate; `delta_out` is
- * valid only on true.  Bringing the *joint* up to date with
- * `delta_out` is the caller's job — that is where the two schedules
- * differ.
+ * One site's moment-matched damped update (Alg. 1 lines 3-7):
+ * computes the cavity and tilted moments, commits the damped site
+ * approximation and folds its delta into `site_sums`, and accumulates
+ * the relative mean change into `max_rel_change`.  Returns false
+ * (touching nothing) when the cavity is improper or degenerate;
+ * `delta_out` is valid only on true.  Bringing the *joint* up to date
+ * with `delta_out` is the caller's job.
  */
 template <typename Site>
 bool
@@ -117,13 +115,6 @@ momentMatchSite(const FactorGraph &graph, Site &site,
     site.approx = damped;
     site_sums[v] = site_sums[v] * delta_out;
     return true;
-}
-
-std::size_t
-clampedBlockSize(const EpConfig &config)
-{
-    return std::min(std::max<std::size_t>(config.blockSize, 1),
-                    graph::BlockedJointUpdater::kMaxBlockSize);
 }
 
 } // namespace
@@ -198,10 +189,19 @@ tiltedMomentsMcmc(double cavity_mean, double cavity_var, double loc,
 std::size_t
 EpWorkspace::totalAllocations() const
 {
-    std::size_t total = grows_ + scratch_.grows + solver_.bufferGrows();
-    for (const Lane &lane : lanes_)
-        total += lane.scratch.grows;
-    return total;
+    return grows_ + scratch_.grows + chain_.bufferGrows() +
+           dense_.bufferGrows();
+}
+
+std::size_t
+EpWorkspace::bufferDoubles() const
+{
+    return chain_.bufferDoubles() + dense_.bufferDoubles() +
+           joint_.mean.capacity() + joint_.covariance.capacity() +
+           scratch_.J.capacity() + scratch_.h.capacity() +
+           scratch_.chol.capacity() + scratch_.col.capacity() +
+           2 * siteByVar_.capacity() +
+           sites_.capacity() * sizeof(Site) / sizeof(double);
 }
 
 ExpectationPropagation::ExpectationPropagation(EpConfig config)
@@ -244,20 +244,39 @@ ExpectationPropagation::run(const FactorGraph &graph, EpWorkspace &ws,
     result.rank1Updates = 0;
     result.fullSolves = 0;
     result.blockFlushes = 0;
-    result.deferredUpdates = 0;
     result.workspaceAllocations = 0;
 
-    GaussianSolver &solver = ws.solver_;
-    solver.rebind(graph);
+    // Both strategies share the chain's block schedule; only the one
+    // that runs builds its buffers.
+    const bool chain = config_.jointStrategy == JointStrategy::Chain;
+    std::size_t block = 0;
+    if (chain) {
+        ws.chain_.rebind(graph);
+        block = ws.chain_.blockSize();
+    } else {
+        ws.dense_.rebind(graph);
+        block = graph::ChainSolver::blockSizeOf(graph);
+    }
+    const std::size_t blocks = (n + block - 1) / block;
 
-    // Collect the Student-t factors; each owns one site.
+    // Collect the Student-t factors, one site each, in block order
+    // (graph order within a block): count per block, prefix-sum into
+    // start offsets, then place each site at its block's cursor.  The
+    // cursors end at the next block's start, so one shift restores
+    // the starts.
     const auto &t_factors = graph.factorsOfKind(FactorKind::StudentT);
-    if (ws.sites_.capacity() < t_factors.size())
+    if (ws.sites_.capacity() < t_factors.size() ||
+        ws.blockSites_.capacity() < blocks + 1)
         ++ws.grows_;
-    ws.sites_.clear();
+    ws.blockSites_.assign(blocks + 1, 0);
+    for (graph::FactorId fid : t_factors)
+        ++ws.blockSites_[graph.factor(fid).vars[0] / block + 1];
+    for (std::size_t t = 1; t <= blocks; ++t)
+        ws.blockSites_[t] += ws.blockSites_[t - 1];
+    ws.sites_.resize(t_factors.size());
     for (graph::FactorId fid : t_factors) {
         const auto &f = graph.factor(fid);
-        EpWorkspace::Site s;
+        EpWorkspace::Site &s = ws.sites_[ws.blockSites_[f.vars[0] / block]++];
         s.var = f.vars[0];
         s.loc = f.loc;
         s.scale = f.scale;
@@ -268,62 +287,23 @@ ExpectationPropagation::run(const FactorGraph &graph, EpWorkspace &ws,
                                  ? s.scale * s.scale * s.nu / (s.nu - 2.0)
                                  : 9.0 * s.scale * s.scale;
         s.approx = Gaussian::fromMeanVar(s.loc, t_var);
-        ws.sites_.push_back(s);
     }
+    for (std::size_t t = blocks; t > 0; --t)
+        ws.blockSites_[t] = ws.blockSites_[t - 1];
+    ws.blockSites_[0] = 0;
 
     if (ws.siteByVar_.capacity() < n)
         ++ws.grows_;
     ws.siteByVar_.assign(n, Gaussian::flat());
     for (const auto &s : ws.sites_)
         ws.siteByVar_[s.var] = ws.siteByVar_[s.var] * s.approx;
-    solver.solveInto(ws.siteByVar_, ws.joint_, ws.scratch_);
-    ++result.fullSolves;
-
-    if (config_.partitions > 1 &&
-        config_.jointStrategy == JointStrategy::Rank1 && !ws.sites_.empty())
-        runSweepsPartitioned(graph, ws, result);
-    else
-        runSweepsSequential(graph, ws, result);
-
-    if (result.mean.capacity() < n || result.stddev.capacity() < n)
-        ++ws.grows_;
-    result.mean.resize(n);
-    result.stddev.resize(n);
-    for (std::size_t v = 0; v < n; ++v) {
-        result.mean[v] = ws.joint_.mean[v];
-        result.stddev[v] =
-            std::sqrt(std::max(ws.joint_.covariance(v, v), 0.0));
+    if (!chain) {
+        ws.dense_.solveInto(ws.siteByVar_, ws.joint_, ws.scratch_);
+        ++result.fullSolves;
     }
-    result.workspaceAllocations = ws.totalAllocations() - grows_before;
-}
 
-void
-ExpectationPropagation::runSweepsSequential(const FactorGraph &graph,
-                                            EpWorkspace &ws,
-                                            EpResult &result) const
-{
-    const std::size_t n = graph.numVariables();
-    GaussianSolver &solver = ws.solver_;
     const QuadKernelFn quad =
         config_.simdQuadrature ? activeQuadKernel() : quadMomentsScalar;
-    const bool incremental = config_.jointStrategy == JointStrategy::Rank1;
-    graph::BlockedJointUpdater updater(
-        ws.joint_, ws.scratch_, incremental ? clampedBlockSize(config_) : 1);
-
-    std::size_t updates_since_refactor = 0;
-    auto full_solve = [&]() {
-        // Anything pending is superseded by the fresh factorization,
-        // and the per-variable site sums are rebuilt from scratch so
-        // the re-factorized joint carries no additive drift.
-        updater.discard();
-        ws.siteByVar_.assign(n, Gaussian::flat());
-        for (const auto &s : ws.sites_)
-            ws.siteByVar_[s.var] = ws.siteByVar_[s.var] * s.approx;
-        solver.solveInto(ws.siteByVar_, ws.joint_, ws.scratch_);
-        ++result.fullSolves;
-        updates_since_refactor = 0;
-    };
-
     Rng rng(config_.seed);
 
     // Damping protects the early sweeps, where parallel conflicts
@@ -338,202 +318,60 @@ ExpectationPropagation::runSweepsSequential(const FactorGraph &graph,
     for (std::size_t sweep = 0; sweep < config_.maxSweeps; ++sweep) {
         ++result.sweeps;
         double max_rel_change = 0.0;
+        if (chain) {
+            ws.chain_.beginSweep(ws.siteByVar_);
+            ++result.fullSolves;
+        }
 
-        for (auto &site : ws.sites_) {
-            const graph::VarId v = site.var;
-            // marginalVariance sees the stored diagonal corrected for
-            // the pending block — exactly what the one-at-a-time
-            // chain would read; the mean is maintained eagerly.
-            const double marg_var = updater.marginalVariance(v);
-            const double marg_mean = ws.joint_.mean[v];
-            const std::uint64_t mcmc_seed =
-                config_.method == MomentMethod::Mcmc ? rng() : 0;
-
-            Gaussian delta;
-            if (!momentMatchSite(graph, site, ws.siteByVar_, marg_mean,
-                                 marg_var, config_, quad, damping, mcmc_seed,
-                                 delta, max_rel_change)) {
-                ++result.skippedUpdates;
-                continue;
+        for (std::size_t t = 0; t < blocks; ++t) {
+            // Chain: the joint is block t's local marginal, indexed
+            // from the block's first variable.  Dense: the full joint.
+            std::size_t base = 0;
+            if (chain) {
+                ws.chain_.blockMarginal(t, ws.siteByVar_, ws.joint_);
+                ++result.blockFlushes;
+                base = ws.chain_.blockBegin(t);
             }
-            ++result.momentEvaluations;
-            if (delta.lambda == 0.0 && delta.eta == 0.0)
-                continue;
-
-            // Bring the joint up to date with this one site change.
-            if (!incremental) {
-                solver.solveInto(ws.siteByVar_, ws.joint_, ws.scratch_);
-                ++result.fullSolves;
-            } else if (config_.refactorInterval > 0 &&
-                       updates_since_refactor >= config_.refactorInterval) {
-                full_solve();
-            } else if (updater.push(v, delta.lambda, delta.eta)) {
-                ++result.rank1Updates;
-                ++updates_since_refactor;
-            } else {
-                // Downdate refused (near-improper joint): recover with
-                // a fresh factorization.
-                full_solve();
-            }
-        }
-
-        if (max_rel_change < config_.tolerance) {
-            result.converged = true;
-            break;
-        }
-        damping = (max_rel_change < 20.0 * config_.tolerance &&
-                   max_rel_change < prev_change)
-                      ? 1.0
-                      : config_.damping;
-        prev_change = max_rel_change;
-    }
-
-    // Apply any still-pending downdates so the stored covariance is
-    // current for result extraction.
-    updater.flush();
-    result.blockFlushes += updater.flushes();
-}
-
-void
-ExpectationPropagation::runSweepsPartitioned(const FactorGraph &graph,
-                                             EpWorkspace &ws,
-                                             EpResult &result) const
-{
-    const std::size_t n = graph.numVariables();
-    const std::size_t num_sites = ws.sites_.size();
-    GaussianSolver &solver = ws.solver_;
-    const QuadKernelFn quad =
-        config_.simdQuadrature ? activeQuadKernel() : quadMomentsScalar;
-    const std::size_t block_size = clampedBlockSize(config_);
-
-    // The shared partitioning pass (also consumed by the accelerator
-    // model via WindowJob): contiguous variable-id bands, one per
-    // engine lane.
-    if (ws.plan_.partitionOfSite.capacity() < num_sites ||
-        ws.plan_.siteCounts.capacity() < config_.partitions)
-        ++ws.grows_;
-    graph::partitionSites(graph, config_.partitions, ws.plan_);
-    const std::size_t P = ws.plan_.numPartitions;
-
-    if (ws.lanes_.capacity() < P)
-        ++ws.grows_;
-    ws.lanes_.resize(P);
-    for (EpWorkspace::Lane &lane : ws.lanes_) {
-        if (lane.joint.mean.capacity() < n ||
-            lane.joint.covariance.capacity() < n * n)
-            ++ws.grows_;
-    }
-
-    const std::size_t T = std::min(
-        std::max<std::size_t>(config_.partitionThreads, 1), P);
-    if (T > 1 && ws.threads_.capacity() < T - 1)
-        ++ws.grows_;
-
-    double damping = config_.damping;
-    double prev_change = 1e300;
-
-    for (std::size_t sweep = 0; sweep < config_.maxSweeps; ++sweep) {
-        ++result.sweeps;
-
-        // Phase A prep (serial): freeze the sweep-start joint into
-        // every lane and zero the per-sweep counters.  Copy-assign
-        // reuses lane capacity, so steady-state sweeps allocate
-        // nothing.
-        for (EpWorkspace::Lane &lane : ws.lanes_) {
-            lane.joint = ws.joint_;
-            lane.skipped = 0;
-            lane.moments = 0;
-            lane.rank1 = 0;
-            lane.deferred = 0;
-            lane.flushes = 0;
-            lane.maxRelChange = 0.0;
-        }
-
-        // Phase A (parallelizable): every lane updates its own sites
-        // against its frozen joint.  Lanes own disjoint sites and
-        // disjoint variables (the plan maps whole variables), so the
-        // shared writes — ws.sites_[i].approx and ws.siteByVar_[v] —
-        // touch distinct elements; the arithmetic per lane does not
-        // depend on scheduling, which is what makes the posterior
-        // bit-identical for any thread count.
-        auto lane_work = [&](std::size_t p) {
-            EpWorkspace::Lane &lane = ws.lanes_[p];
-            graph::BlockedJointUpdater updater(lane.joint, lane.scratch,
-                                               block_size);
-            for (std::size_t i = 0; i < num_sites; ++i) {
-                if (ws.plan_.partitionOfSite[i] != p)
-                    continue;
+            for (std::size_t i = ws.blockSites_[t]; i < ws.blockSites_[t + 1];
+                 ++i) {
                 EpWorkspace::Site &site = ws.sites_[i];
-                const graph::VarId v = site.var;
-                const double marg_var = updater.marginalVariance(v);
-                const double marg_mean = lane.joint.mean[v];
-                // Deterministic per-(sweep, site) seed: MCMC draws
-                // must not depend on lane interleaving.
+                const graph::VarId lv =
+                    static_cast<graph::VarId>(site.var - base);
+                const double marg_var = ws.joint_.covariance(lv, lv);
+                const double marg_mean = ws.joint_.mean[lv];
                 const std::uint64_t mcmc_seed =
-                    config_.seed +
-                    0x9E3779B97F4A7C15ull *
-                        static_cast<std::uint64_t>(sweep * num_sites + i + 1);
+                    config_.method == MomentMethod::Mcmc ? rng() : 0;
 
                 Gaussian delta;
                 if (!momentMatchSite(graph, site, ws.siteByVar_, marg_mean,
                                      marg_var, config_, quad, damping,
-                                     mcmc_seed, delta, lane.maxRelChange)) {
-                    ++lane.skipped;
+                                     mcmc_seed, delta, max_rel_change)) {
+                    ++result.skippedUpdates;
                     continue;
                 }
-                ++lane.moments;
+                ++result.momentEvaluations;
                 if (delta.lambda == 0.0 && delta.eta == 0.0)
                     continue;
-                if (updater.push(v, delta.lambda, delta.eta)) {
-                    ++lane.rank1;
+
+                // Bring the joint up to date with this one site change.
+                if (!chain) {
+                    ws.dense_.solveInto(ws.siteByVar_, ws.joint_,
+                                        ws.scratch_);
+                    ++result.fullSolves;
+                } else if (GaussianSolver::rank1SiteUpdate(
+                               ws.joint_, lv, delta.lambda, delta.eta,
+                               ws.scratch_)) {
+                    ++result.rank1Updates;
                 } else {
-                    // A lane never re-factorizes (that would depend on
-                    // lane state, not the graph): the site change is
-                    // committed and the merge solve below carries it.
-                    ++lane.deferred;
+                    // Downdate refused (near-improper block): re-invert
+                    // the block with the new site.
+                    ws.chain_.blockMarginal(t, ws.siteByVar_, ws.joint_);
+                    ++result.blockFlushes;
                 }
             }
-            // The lane joint is discarded at the merge; whatever is
-            // still pending need not be applied.
-            updater.discard();
-            lane.flushes = updater.flushes();
-        };
-
-        if (T > 1) {
-            ws.threads_.clear();
-            for (std::size_t t = 1; t < T; ++t)
-                ws.threads_.emplace_back([&lane_work, t, T, P]() {
-                    for (std::size_t p = t; p < P; p += T)
-                        lane_work(p);
-                });
-            for (std::size_t p = 0; p < P; p += T)
-                lane_work(p);
-            for (std::thread &th : ws.threads_)
-                th.join();
-            ws.threads_.clear();
-        } else {
-            for (std::size_t p = 0; p < P; ++p)
-                lane_work(p);
+            if (chain)
+                ws.chain_.passForward(t, ws.siteByVar_);
         }
-
-        // Phase B (serial): merge counters — max and sums are
-        // order-independent — then synchronize the controller's joint
-        // with one full solve over the freshly rebuilt site sums.
-        double max_rel_change = 0.0;
-        for (const EpWorkspace::Lane &lane : ws.lanes_) {
-            result.skippedUpdates += lane.skipped;
-            result.momentEvaluations += lane.moments;
-            result.rank1Updates += lane.rank1;
-            result.deferredUpdates += lane.deferred;
-            result.blockFlushes += lane.flushes;
-            max_rel_change = std::max(max_rel_change, lane.maxRelChange);
-        }
-
-        ws.siteByVar_.assign(n, Gaussian::flat());
-        for (const auto &s : ws.sites_)
-            ws.siteByVar_[s.var] = ws.siteByVar_[s.var] * s.approx;
-        solver.solveInto(ws.siteByVar_, ws.joint_, ws.scratch_);
-        ++result.fullSolves;
 
         if (max_rel_change < config_.tolerance) {
             result.converged = true;
@@ -545,6 +383,26 @@ ExpectationPropagation::runSweepsPartitioned(const FactorGraph &graph,
                       : config_.damping;
         prev_change = max_rel_change;
     }
+
+    if (result.mean.capacity() < n || result.stddev.capacity() < n)
+        ++ws.grows_;
+    if (chain) {
+        // Blocks visited early in the last sweep predate the later
+        // blocks' updates: one smoothing pass makes every marginal
+        // current.
+        ws.chain_.marginals(ws.siteByVar_, result.mean, result.stddev,
+                            ws.joint_);
+        ++result.fullSolves;
+    } else {
+        result.mean.resize(n);
+        result.stddev.resize(n);
+        for (std::size_t v = 0; v < n; ++v) {
+            result.mean[v] = ws.joint_.mean[v];
+            result.stddev[v] =
+                std::sqrt(std::max(ws.joint_.covariance(v, v), 0.0));
+        }
+    }
+    result.workspaceAllocations = ws.totalAllocations() - grows_before;
 }
 
 } // namespace core

@@ -12,24 +12,19 @@
  *
  * Hot-path structure: tilted moments run through the SIMD quadrature
  * kernel (quad_kernel.h, AVX2/NEON with a bit-identical scalar
- * fallback); sites update sequentially against a joint that is kept
- * current by blocked Sherman-Morrison downdates of the covariance
- * (BlockedJointUpdater: O(n^2) per site with the triangle sweep
- * amortized over EpConfig::blockSize sites, instead of an O(n^3)
- * re-solve), with a periodic full re-factorization for numerical
- * hygiene (EpConfig::refactorInterval).  JointStrategy::DenseResolve
- * replaces every incremental update with a full re-solve on the same
- * schedule; the golden-posterior suite pins the two paths to each
- * other within 1e-6.
- *
- * With EpConfig::partitions > 1 the engine switches to the paper's
- * synchronous per-engine schedule: the shared partitioning pass
- * (graph/partition.h) splits sites into contiguous variable-id bands,
- * each sweep updates every band against a frozen copy of the joint
- * (optionally on EpConfig::partitionThreads worker threads), and one
- * full solve merges the sweep — the controller sync.  Because bands
- * own disjoint sites and the merge is a deterministic full solve, the
- * posterior is bit-identical for any thread count.
+ * fallback).  Sites update sequentially, grouped by the graph's
+ * variable-id blocks (graph::ChainSolver; one block is one time slice
+ * of a window model).  Each sweep runs one backward pass of
+ * Schur-complement messages, then visits the blocks in order: the
+ * block's local marginal is formed from its own precision, its sites
+ * and the messages from both neighbours, its sites update against
+ * that e x e covariance by Sherman-Morrison rank-1 updates (O(e^2)
+ * each), and the updated block passes its message on to the next.
+ * This is exactly sequential EP — the local marginal equals the
+ * joint's — at O(k e^3) per sweep instead of a dense n x n joint.
+ * JointStrategy::DenseResolve re-solves the dense joint after every
+ * site change on the same schedule; the golden-posterior suite pins
+ * the two paths to each other within 1e-6.
  *
  * Callers that run EP repeatedly (windowed inference) pass an
  * EpWorkspace (and optionally a persistent EpResult) so steady-state
@@ -40,12 +35,10 @@
 #define BPERF_CORE_EP_H
 
 #include <cstdint>
-#include <thread>
 #include <vector>
 
 #include "graph/exact.h"
 #include "graph/factor_graph.h"
-#include "graph/partition.h"
 
 namespace bperf {
 namespace core {
@@ -61,15 +54,16 @@ enum class MomentMethod {
 /** How the joint is kept in sync with site updates. */
 enum class JointStrategy {
     /**
-     * Blocked Sherman-Morrison update per site change, full
-     * re-factorization every refactorInterval updates or when a
-     * downdate is too ill-conditioned.  The fast path.
+     * Chain sweep: block-local marginals from block-tridiagonal
+     * messages, rank-1 updates inside a block, a block re-inversion
+     * when a downdate is too ill-conditioned.  The fast path.
      */
-    Rank1,
+    Chain,
     /**
      * Full dense re-solve after every site change.  Same update
-     * schedule as Rank1 — the numerical reference the regression
-     * suite compares the fast path against.
+     * schedule as Chain — the numerical reference the regression
+     * suite compares the fast path against.  Only this strategy
+     * allocates n x n buffers.
      */
     DenseResolve,
 };
@@ -83,24 +77,11 @@ struct EpConfig
     /** Damping of site updates in natural parameters. */
     double damping = 0.7;
     MomentMethod method = MomentMethod::Quadrature;
-    JointStrategy jointStrategy = JointStrategy::Rank1;
-    /**
-     * Incremental updates applied between full re-factorizations of
-     * the joint (numerical hygiene for the Sherman-Morrison chain).
-     * 0 re-factorizes only when a downdate is refused.
-     */
-    std::size_t refactorInterval = 256;
+    JointStrategy jointStrategy = JointStrategy::Chain;
     std::size_t quadraturePoints = 129;
     std::size_t mcmcSamples = 400;
     std::size_t mcmcBurnin = 100;
     std::uint64_t seed = 7;
-    /**
-     * Sites per covariance-triangle sweep of the blocked joint
-     * updater (1 = classic one-at-a-time rank-1 updates; the blocked
-     * algebra at any size matches the sequential chain exactly).
-     * Clamped to BlockedJointUpdater::kMaxBlockSize.
-     */
-    std::size_t blockSize = 8;
     /**
      * Gauss grid evaluation via the runtime-dispatched SIMD kernel
      * (true) or the scalar reference kernel (false).  The two are
@@ -108,16 +89,6 @@ struct EpConfig
      * tests and for -DBPERF_SIMD=OFF builds.
      */
     bool simdQuadrature = true;
-    /**
-     * Number of site partitions (the paper's per-slice EP engines).
-     * 1 = sequential sweeps (the classic schedule); > 1 = synchronous
-     * partition-parallel sweeps merged by a full solve.  Only the
-     * Rank1 strategy partitions; DenseResolve stays sequential.
-     */
-    std::size_t partitions = 1;
-    /** Worker threads for partition-parallel sweeps (clamped to the
-     * partition count; results are identical for any value). */
-    std::size_t partitionThreads = 1;
 };
 
 /** Result of EP inference. */
@@ -131,18 +102,23 @@ struct EpResult
     std::size_t skippedUpdates = 0;
     /** Total tilted-moment evaluations (accelerator cost model). */
     std::size_t momentEvaluations = 0;
-    /** Incremental (blocked rank-1) joint updates applied. */
-    std::size_t rank1Updates = 0;
-    /** Full joint factorizations (initial solve + refactorizations). */
-    std::size_t fullSolves = 0;
-    /** Covariance-triangle sweeps of the blocked updater. */
-    std::size_t blockFlushes = 0;
     /**
-     * Partitioned-mode site updates whose lane-local downdate was
-     * refused; the site change is carried by the sweep's merge solve
-     * instead (sequential mode re-factorizes immediately).
+     * Site changes applied to a block's local covariance by an e x e
+     * rank-1 update (Chain); 0 under DenseResolve.
      */
-    std::size_t deferredUpdates = 0;
+    std::size_t rank1Updates = 0;
+    /**
+     * Whole-window solves.  Chain: one backward message pass per
+     * sweep plus the final smoothing pass.  DenseResolve: dense n x n
+     * solves, the initial one plus one per site change.
+     */
+    std::size_t fullSolves = 0;
+    /**
+     * Block local marginals factorized (Chain): one per block per
+     * sweep, plus one per refused downdate, which re-inverts the block
+     * instead.  0 under DenseResolve.
+     */
+    std::size_t blockFlushes = 0;
     /**
      * Workspace buffer-growth events during this run.  0 means the
      * run reused a warm EpWorkspace without allocating — the
@@ -167,12 +143,10 @@ class EpWorkspace
     std::size_t runs() const { return runs_; }
 
     /**
-     * Partition plan of the most recent partitioned run (empty/1 when
-     * every run was sequential).  The windowed engine forwards its
-     * critical path (maxPartitionSites) to the execution backend so
-     * simulated accelerator engines split the window the same way.
+     * Doubles of buffer capacity held.  O(k e^2) for a k-block chain
+     * of e-variable blocks; only DenseResolve adds n x n buffers.
      */
-    const graph::PartitionPlan &partitionPlan() const { return plan_; }
+    std::size_t bufferDoubles() const;
 
   private:
     friend class ExpectationPropagation;
@@ -184,28 +158,17 @@ class EpWorkspace
         graph::Gaussian approx; // natural units
     };
 
-    /** Per-partition engine state (partition-parallel sweeps). */
-    struct Lane
-    {
-        graph::GaussianJoint joint; // frozen sweep-start copy
-        graph::SolverScratch scratch;
-        // Per-sweep counters, merged serially after the join.
-        std::size_t skipped = 0;
-        std::size_t moments = 0;
-        std::size_t rank1 = 0;
-        std::size_t deferred = 0;
-        std::size_t flushes = 0;
-        double maxRelChange = 0.0;
-    };
-
+    /** Student-t sites in block order (graph order within a block). */
     std::vector<Site> sites_;
+    /** Sites of block t are sites_[blockSites_[t] .. blockSites_[t+1]). */
+    std::vector<std::size_t> blockSites_;
+    /** Product of the sites on each variable (natural units). */
     std::vector<graph::Gaussian> siteByVar_;
-    graph::GaussianSolver solver_;
+    graph::ChainSolver chain_;
+    graph::GaussianSolver dense_; // DenseResolve only
+    /** Chain: the current block's local marginal; dense: the joint. */
     graph::GaussianJoint joint_;
     graph::SolverScratch scratch_;
-    graph::PartitionPlan plan_;
-    std::vector<Lane> lanes_;
-    std::vector<std::thread> threads_;
     std::size_t grows_ = 0;
     std::size_t runs_ = 0;
 };
@@ -233,11 +196,6 @@ class ExpectationPropagation
              EpResult &result) const;
 
   private:
-    void runSweepsSequential(const graph::FactorGraph &graph,
-                             EpWorkspace &ws, EpResult &result) const;
-    void runSweepsPartitioned(const graph::FactorGraph &graph,
-                              EpWorkspace &ws, EpResult &result) const;
-
     EpConfig config_;
 };
 

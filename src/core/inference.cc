@@ -247,7 +247,6 @@ WindowedInference::runWindow(std::size_t w_len)
     epRank1Updates_ += ep_result.rank1Updates;
     epFullSolves_ += ep_result.fullSolves;
     epBlockFlushes_ += ep_result.blockFlushes;
-    epDeferredUpdates_ += ep_result.deferredUpdates;
     epSkippedUpdates_ += ep_result.skippedUpdates;
 
     // Record every covered slice; later (more contextual) windows
@@ -318,12 +317,6 @@ WindowedInference::runWindow(std::size_t w_len)
                        .factorsOfKind(graph::FactorKind::StudentT)
                        .size();
     job.numSweeps = ep_result.sweeps;
-    // Partitioned runs share their plan with the backend so simulated
-    // accelerator engines split the window along the same bands.
-    if (config_.ep.partitions > 1 &&
-        epWorkspace_.partitionPlan().numPartitions > 1)
-        job.maxPartitionSites =
-            epWorkspace_.partitionPlan().maxPartitionSites();
     // Streamed inputs: per-site window reads + per-variable g(theta).
     job.inputBytes = 24 * job.numSites + 8 * job.numVariables;
     job.hostSeconds = window_seconds;
@@ -401,7 +394,6 @@ WindowedInference::takeResult()
     result.epRank1Updates = epRank1Updates_;
     result.epFullSolves = epFullSolves_;
     result.epBlockFlushes = epBlockFlushes_;
-    result.epDeferredUpdates = epDeferredUpdates_;
     result.epSkippedUpdates = epSkippedUpdates_;
     result.wallSeconds = inferSeconds_;
     result.epWorkspaceAllocations = epWorkspace_.totalAllocations();

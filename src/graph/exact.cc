@@ -1,11 +1,43 @@
 #include "graph/exact.h"
 
+#include <algorithm>
 #include <cmath>
 
 #include "common/logging.h"
 
 namespace bperf {
 namespace graph {
+
+namespace {
+
+/**
+ * Finish a solve whose joint.covariance holds the inverse of the
+ * scaled precision: the mean J^-1 h in natural units, from the
+ * still-scaled covariance, then the covariance rescaled to natural
+ * units in place.  `scale` holds the joint's variables' scale hints.
+ */
+void
+finishScaledSolve(GaussianJoint &joint, const double *h, const double *scale)
+{
+    const std::size_t n = joint.covariance.rows();
+    joint.mean.resize(n);
+    double *cov = joint.covariance.data();
+    for (std::size_t r = 0; r < n; ++r) {
+        const double *row = cov + r * n;
+        double s = 0.0;
+        for (std::size_t c = 0; c < n; ++c)
+            s += row[c] * h[c];
+        joint.mean[r] = s * scale[r];
+    }
+    for (std::size_t r = 0; r < n; ++r) {
+        double *row = cov + r * n;
+        const double sr = scale[r];
+        for (std::size_t c = 0; c < n; ++c)
+            row[c] *= sr * scale[c];
+    }
+}
+
+} // namespace
 
 void
 GaussianSolver::rebind(const FactorGraph &graph)
@@ -99,25 +131,7 @@ GaussianSolver::solveInto(const std::vector<Gaussian> &sites,
     // Covariance = J^-1 (one Cholesky factorization), mean = J^-1 h.
     scratch.J.choleskyInverseInto(joint.covariance, scratch.chol);
 
-    // Mean in natural units, from the still-scaled covariance.
-    joint.mean.resize(n);
-    double *cov = joint.covariance.data();
-    const double *hs = scratch.h.data();
-    for (std::size_t r = 0; r < n; ++r) {
-        const double *row = cov + r * n;
-        double s = 0.0;
-        for (std::size_t c = 0; c < n; ++c)
-            s += row[c] * hs[c];
-        joint.mean[r] = s * scale_[r];
-    }
-
-    // Rescale the covariance to natural units in place.
-    for (std::size_t r = 0; r < n; ++r) {
-        double *row = cov + r * n;
-        const double sr = scale_[r];
-        for (std::size_t c = 0; c < n; ++c)
-            row[c] *= sr * scale_[c];
-    }
+    finishScaledSolve(joint, scratch.h.data(), scale_.data());
 }
 
 bool
@@ -146,7 +160,7 @@ GaussianSolver::rank1SiteUpdate(GaussianJoint &joint, VarId v,
     //  - dl_var > 1e4: the diagonal update cancels ~dl_var leading
     //    digits, injecting ~dl_var * eps relative error.
     // Both are rare (large site jumps happen in the first sweeps);
-    // the O(n^3) fallback keeps the fast path's drift below the
+    // the re-solve fallback keeps the fast path's drift below the
     // 1e-6 agreement the golden suite asserts.
     if (!(denom > 0.05) || dl_var > 1e4)
         return false;
@@ -183,111 +197,255 @@ GaussianSolver::rank1SiteUpdate(GaussianJoint &joint, VarId v,
     return true;
 }
 
-BlockedJointUpdater::BlockedJointUpdater(GaussianJoint &joint,
-                                         SolverScratch &scratch,
-                                         std::size_t block_size)
-    : joint_(&joint), scratch_(&scratch),
-      blockSize_(std::max<std::size_t>(1, block_size)),
-      n_(joint.mean.size())
+std::size_t
+ChainSolver::blockSizeOf(const FactorGraph &graph)
 {
-    bp_assert(blockSize_ <= kMaxBlockSize, "block size too large");
-    if (scratch.blockW.capacity() < blockSize_ * n_ ||
-        scratch.blockC.capacity() < blockSize_)
-        ++scratch.grows;
-    scratch.blockW.resize(blockSize_ * n_);
-    scratch.blockC.resize(blockSize_);
-}
-
-double
-BlockedJointUpdater::marginalVariance(VarId v) const
-{
-    double var = joint_->covariance(v, v);
-    const double *W = scratch_->blockW.data();
-    const double *C = scratch_->blockC.data();
-    for (std::size_t i = 0; i < pending_; ++i) {
-        const double wv = W[i * n_ + v];
-        var -= C[i] * wv * wv;
-    }
-    return var;
-}
-
-bool
-BlockedJointUpdater::push(VarId v, double d_lambda, double d_eta)
-{
-    bp_assert(v < n_, "blocked update variable out of range");
-    double *W = scratch_->blockW.data();
-    double *C = scratch_->blockC.data();
-    double *w = W + pending_ * n_;
-    const double *cov = joint_->covariance.data();
-
-    // Column v of the *stored* covariance, from the lower triangle.
-    const double *rowv = cov + static_cast<std::size_t>(v) * n_;
-    for (std::size_t r = 0; r <= v; ++r)
-        w[r] = rowv[r];
-    for (std::size_t r = v + 1; r < n_; ++r)
-        w[r] = cov[r * n_ + v];
-
-    // Correct it to the current covariance: subtract each pending
-    // downdate's contribution.  This is the whole trick — the column
-    // is exactly what the sequential chain would read after applying
-    // the pending updates, without touching the n^2 matrix.
-    for (std::size_t i = 0; i < pending_; ++i) {
-        const double f = C[i] * W[i * n_ + v];
-        if (f == 0.0)
+    std::size_t b = 1;
+    for (FactorId fid : graph.factorsOfKind(FactorKind::LinearGaussian)) {
+        const Factor &f = graph.factor(fid);
+        if (f.vars.empty())
             continue;
-        const double *wi = W + i * n_;
-        for (std::size_t r = 0; r < n_; ++r)
-            w[r] -= f * wi[r];
+        const auto [lo, hi] =
+            std::minmax_element(f.vars.begin(), f.vars.end());
+        b = std::max<std::size_t>(b, *hi - *lo);
     }
-
-    const double var_v = w[v];
-    if (!(var_v > 0.0))
-        return false;
-    const double dl_var = d_lambda * var_v;
-    const double denom = 1.0 + dl_var;
-    // Same conditioning guards as rank1SiteUpdate (see its comment).
-    if (!(denom > 0.05) || dl_var > 1e4)
-        return false;
-
-    // Mean update is exact and eager (the EP loop reads means between
-    // pushes); covariance is deferred.
-    double *mean = joint_->mean.data();
-    const double mean_gain = (d_eta - d_lambda * mean[v]) / denom;
-    for (std::size_t r = 0; r < n_; ++r)
-        mean[r] += mean_gain * w[r];
-
-    C[pending_] = d_lambda / denom;
-    ++pending_;
-    if (pending_ == blockSize_)
-        flush();
-    return true;
+    return b;
 }
 
 void
-BlockedJointUpdater::flush()
+ChainSolver::rebind(const FactorGraph &graph)
 {
-    if (pending_ == 0)
-        return;
-    double *cov = joint_->covariance.data();
-    const double *W = scratch_->blockW.data();
-    const double *C = scratch_->blockC.data();
-    // One pass over the lower triangle applying all pending outer
-    // products: the row stays cache-resident across the k inner
-    // sweeps, so main-memory traffic is one triangle read+write per
-    // flush instead of per update.
-    for (std::size_t r = 0; r < n_; ++r) {
-        double *row = cov + r * n_;
-        for (std::size_t i = 0; i < pending_; ++i) {
-            const double *wi = W + i * n_;
-            const double a = C[i] * wi[r];
-            if (a == 0.0)
-                continue;
-            for (std::size_t k = 0; k <= r; ++k)
-                row[k] -= a * wi[k];
+    n_ = graph.numVariables();
+    b_ = blockSizeOf(graph);
+    blocks_ = (n_ + b_ - 1) / b_;
+    const std::size_t bb = b_ * b_;
+    const std::size_t nb = blocks_ * bb;
+    const std::size_t nu = blocks_ > 0 ? (blocks_ - 1) * bb : 0;
+
+    if (D_.capacity() < nb || U_.capacity() < nu || R_.capacity() < nb ||
+        r_.capacity() < n_ || scale_.capacity() < n_ ||
+        baseH_.capacity() < n_ || L_.capacity() < bb ||
+        l_.capacity() < b_ || A_.capacity() < bb || a_.capacity() < b_ ||
+        W_.capacity() < bb || w_.capacity() < b_ ||
+        chol_.capacity() < 2 * bb)
+        ++grows_;
+    scale_.resize(n_);
+    for (std::size_t i = 0; i < n_; ++i)
+        scale_[i] = graph.variable(static_cast<VarId>(i)).scaleHint;
+    baseH_.assign(n_, 0.0);
+    D_.assign(nb, 0.0);
+    U_.assign(nu, 0.0);
+    // The last block never receives a right message; it stays zero.
+    R_.assign(nb, 0.0);
+    r_.assign(n_, 0.0);
+    L_.assign(bb, 0.0);
+    l_.assign(b_, 0.0);
+    A_.reset(b_, b_);
+    a_.assign(b_, 0.0);
+    W_.assign(bb, 0.0);
+    w_.assign(b_, 0.0);
+    chol_.reserve(2 * bb);
+
+    // The same scaled backbone as GaussianSolver::rebind, scattered
+    // into blocks: only J[t, t] and the upper coupling J[t, t+1] are
+    // stored (J[t+1, t] is its transpose).
+    for (FactorId fid : graph.factorsOfKind(FactorKind::LinearGaussian)) {
+        const Factor &f = graph.factor(fid);
+        const double inv_var = 1.0 / (f.noiseStd * f.noiseStd);
+        for (std::size_t i = 0; i < f.vars.size(); ++i) {
+            const VarId vi = f.vars[i];
+            const std::size_t ti = vi / b_, oi = vi - ti * b_;
+            const double ai = f.coeffs[i] * scale_[vi];
+            for (std::size_t j = 0; j < f.vars.size(); ++j) {
+                const VarId vj = f.vars[j];
+                const std::size_t tj = vj / b_, oj = vj - tj * b_;
+                const double aj = f.coeffs[j] * scale_[vj];
+                if (tj == ti)
+                    D_[ti * bb + oi * b_ + oj] += ai * aj * inv_var;
+                else if (tj == ti + 1)
+                    U_[ti * bb + oi * b_ + oj] += ai * aj * inv_var;
+            }
+            baseH_[vi] += -f.offset * ai * inv_var;
         }
     }
-    ++flushes_;
-    pending_ = 0;
+    for (FactorId fid : graph.factorsOfKind(FactorKind::GaussianPrior)) {
+        const Factor &f = graph.factor(fid);
+        const VarId v = f.vars[0];
+        const double inv_var = scale_[v] * scale_[v] / (f.scale * f.scale);
+        const std::size_t t = v / b_, o = v - t * b_;
+        D_[t * bb + o * b_ + o] += inv_var;
+        baseH_[v] += inv_var * f.loc / scale_[v];
+    }
+    for (std::size_t v = 0; v < n_; ++v) {
+        const std::size_t t = v / b_, o = v - t * b_;
+        D_[t * bb + o * b_ + o] += 1e-12;
+    }
+}
+
+std::size_t
+ChainSolver::bufferDoubles() const
+{
+    return scale_.capacity() + baseH_.capacity() + D_.capacity() +
+           U_.capacity() + R_.capacity() + r_.capacity() + L_.capacity() +
+           l_.capacity() + A_.capacity() + a_.capacity() + W_.capacity() +
+           w_.capacity() + chol_.capacity();
+}
+
+void
+ChainSolver::assemble(std::size_t t, const std::vector<Gaussian> &sites,
+                      bool left, bool right)
+{
+    const std::size_t m = blockLength(t), off = blockBegin(t);
+    const double *D = D_.data() + t * b_ * b_;
+    const double *R = R_.data() + t * b_ * b_;
+    A_.reset(m, m);
+    double *A = A_.data();
+    for (std::size_t i = 0; i < m; ++i) {
+        for (std::size_t j = 0; j < m; ++j) {
+            double x = D[i * b_ + j];
+            if (left)
+                x += L_[i * b_ + j];
+            if (right)
+                x += R[i * b_ + j];
+            A[i * m + j] = x;
+        }
+        double h = baseH_[off + i];
+        if (left)
+            h += l_[i];
+        if (right)
+            h += r_[off + i];
+        if (!sites.empty()) {
+            // Site in natural units; convert to scaled units.
+            const double s = scale_[off + i];
+            A[i * m + i] += sites[off + i].lambda * s * s;
+            h += sites[off + i].eta * s;
+        }
+        a_[i] = h;
+    }
+}
+
+void
+ChainSolver::eliminate(std::size_t m, const double *B, std::size_t rs,
+                       std::size_t cs, std::size_t q, double *prec,
+                       double *info)
+{
+    // A = G G^T in place (lower triangle of A_).
+    double *G = A_.data();
+    for (std::size_t j = 0; j < m; ++j) {
+        double *gj = G + j * m;
+        double d = gj[j];
+        for (std::size_t k = 0; k < j; ++k)
+            d -= gj[k] * gj[k];
+        bp_assert(d > 0.0, "matrix not positive definite");
+        gj[j] = std::sqrt(d);
+        for (std::size_t i = j + 1; i < m; ++i) {
+            double *gi = G + i * m;
+            double s = gi[j];
+            for (std::size_t k = 0; k < j; ++k)
+                s -= gi[k] * gj[k];
+            gi[j] = s / gj[j];
+        }
+    }
+
+    // W = G^-1 B, w = G^-1 a (forward substitution, row by row).
+    double *W = W_.data();
+    for (std::size_t i = 0; i < m; ++i) {
+        double *wi = W + i * b_;
+        for (std::size_t j = 0; j < q; ++j)
+            wi[j] = B[i * rs + j * cs];
+        double ai = a_[i];
+        const double *gi = G + i * m;
+        for (std::size_t k = 0; k < i; ++k) {
+            const double g = gi[k];
+            const double *wk = W + k * b_;
+            for (std::size_t j = 0; j < q; ++j)
+                wi[j] -= g * wk[j];
+            ai -= g * w_[k];
+        }
+        const double inv = 1.0 / gi[i];
+        for (std::size_t j = 0; j < q; ++j)
+            wi[j] *= inv;
+        w_[i] = ai * inv;
+    }
+
+    // prec = -W^T W (lower triangle, then mirrored), info = -W^T w.
+    for (std::size_t p = 0; p < q; ++p) {
+        std::fill(prec + p * b_, prec + p * b_ + p + 1, 0.0);
+        info[p] = 0.0;
+    }
+    for (std::size_t i = 0; i < m; ++i) {
+        const double *wi = W + i * b_;
+        for (std::size_t p = 0; p < q; ++p) {
+            const double f = wi[p];
+            if (f == 0.0)
+                continue;
+            double *row = prec + p * b_;
+            for (std::size_t r = 0; r <= p; ++r)
+                row[r] -= f * wi[r];
+            info[p] -= f * w_[i];
+        }
+    }
+    for (std::size_t p = 0; p < q; ++p)
+        for (std::size_t r = 0; r < p; ++r)
+            prec[r * b_ + p] = prec[p * b_ + r];
+}
+
+void
+ChainSolver::beginSweep(const std::vector<Gaussian> &sites)
+{
+    const std::size_t bb = b_ * b_;
+    // Block t's right message eliminates blocks t+1.. through the
+    // coupling J[t+1, t] = U_t^T: element (i, j) at U_t[j * b + i].
+    for (std::size_t t = blocks_; t-- > 1;) {
+        assemble(t, sites, false, true);
+        eliminate(blockLength(t), U_.data() + (t - 1) * bb, 1, b_,
+                  blockLength(t - 1), R_.data() + (t - 1) * bb,
+                  r_.data() + blockBegin(t - 1));
+    }
+    std::fill(L_.begin(), L_.end(), 0.0);
+    std::fill(l_.begin(), l_.end(), 0.0);
+}
+
+void
+ChainSolver::passForward(std::size_t t, const std::vector<Gaussian> &sites)
+{
+    if (t + 1 >= blocks_)
+        return;
+    assemble(t, sites, true, false);
+    eliminate(blockLength(t), U_.data() + t * b_ * b_, b_, 1,
+              blockLength(t + 1), L_.data(), l_.data());
+}
+
+void
+ChainSolver::blockMarginal(std::size_t t, const std::vector<Gaussian> &sites,
+                           GaussianJoint &local)
+{
+    const std::size_t m = blockLength(t), off = blockBegin(t);
+    if (local.covariance.capacity() < m * m || local.mean.capacity() < m)
+        ++grows_;
+    assemble(t, sites, true, true);
+    A_.choleskyInverseInto(local.covariance, chol_);
+
+    finishScaledSolve(local, a_.data(), scale_.data() + off);
+}
+
+void
+ChainSolver::marginals(const std::vector<Gaussian> &sites,
+                       std::vector<double> &mean, std::vector<double> &stddev,
+                       GaussianJoint &local)
+{
+    mean.resize(n_);
+    stddev.resize(n_);
+    beginSweep(sites);
+    for (std::size_t t = 0; t < blocks_; ++t) {
+        blockMarginal(t, sites, local);
+        const std::size_t off = blockBegin(t);
+        for (std::size_t i = 0; i < blockLength(t); ++i) {
+            mean[off + i] = local.mean[i];
+            stddev[off + i] = std::sqrt(std::max(local.covariance(i, i), 0.0));
+        }
+        passForward(t, sites);
+    }
 }
 
 } // namespace graph

@@ -13,9 +13,12 @@
  * The Gaussian backbone (everything except the sites) never changes
  * between solves of the same graph, so the solver caches it at
  * construction; repeated solves only add the site diagonal and
- * factorize.  For EP's inner loop the solver additionally supports
- * Sherman-Morrison rank-1 updates of an already-solved joint, so a
- * single-site change costs O(n^2) instead of an O(n^3) re-solve.
+ * factorize.  GaussianSolver does this densely (O(n^3), the
+ * reference); ChainSolver exploits the block-tridiagonal structure of
+ * window graphs and never forms the n x n joint (EP's production
+ * path).  Sherman-Morrison rank-1 updates apply a single-site change
+ * to an already-solved joint in O(n^2) — EP uses them on one block's
+ * local marginal.
  *
  * When every factor in the graph is Gaussian this *is* the exact
  * posterior, which the tests use to validate EP.
@@ -24,6 +27,7 @@
 #ifndef BPERF_GRAPH_EXACT_H
 #define BPERF_GRAPH_EXACT_H
 
+#include <algorithm>
 #include <vector>
 
 #include "common/matrix.h"
@@ -54,8 +58,6 @@ struct SolverScratch
     std::vector<double> h;     // scaled information vector
     std::vector<double> chol;  // Cholesky factorization scratch
     std::vector<double> col;   // covariance column (rank-1 updates)
-    std::vector<double> blockW; // pending update columns (block x n)
-    std::vector<double> blockC; // pending downdate coefficients
     /** Buffer-growth events (allocation accounting for EpWorkspace). */
     std::size_t grows = 0;
 };
@@ -80,6 +82,11 @@ class GaussianSolver
 
     /** Buffer-growth events since construction (allocation accounting). */
     std::size_t bufferGrows() const { return grows_; }
+    /** Doubles of buffer capacity held (memory accounting). */
+    std::size_t bufferDoubles() const
+    {
+        return baseJ_.capacity() + baseH_.capacity() + scale_.capacity();
+    }
 
     /**
      * Compute the joint implied by all Gaussian factors plus
@@ -115,8 +122,9 @@ class GaussianSolver
      *
      * Returns false — leaving the joint untouched — when the downdate
      * is too ill-conditioned to apply stably (1 + d_lambda * var(v)
-     * not safely positive); the caller must then fall back to a full
-     * solveInto with the new site values.
+     * not safely positive); the caller must then re-solve the joint
+     * (solveInto, or ChainSolver::blockMarginal for a block) with the
+     * new site values.
      */
     static bool rank1SiteUpdate(GaussianJoint &joint, VarId v,
                                 double d_lambda, double d_eta,
@@ -137,66 +145,115 @@ class GaussianSolver
 };
 
 /**
- * Blocked (rank-k) variant of GaussianSolver::rank1SiteUpdate: defers
- * up to `blockSize` site downdates and applies them to the stored
- * lower triangle in one pass, cutting the memory traffic of the
- * covariance sweep by the block factor (the rank-1 update is
- * memory-bound).
+ * The same Gaussian backbone viewed as a chain of variable-id blocks,
+ * for EP sweeps that never form the n x n joint.
  *
- * The algebra is exactly the sequential Sherman-Morrison chain: each
- * push materializes the covariance column of its variable *as of all
- * pending updates* (implicit correction against the pending block),
- * so marginal variances, mean updates and conditioning guards see the
- * same values the one-at-a-time path would — the two paths differ
- * only by floating-point summation order.
+ * Block layout, read from the graph: b is the largest variable-id
+ * span (max id - min id) of any LinearGaussian factor, floored at 1,
+ * and the blocks are [0,b), [b,2b), ....  Every factor then touches
+ * at most two adjacent blocks, so the scaled precision is block
+ * tridiagonal: diagonal blocks D_t and couplings U_t = J[t, t+1].
+ * WindowModel lays variables out slice-major and its walks link the
+ * same event in adjacent slices, so there b is the event count and
+ * one block is one time slice.  Any graph gets a valid layout; one
+ * without chain structure just gets larger blocks.
  *
- * The joint's mean is kept current eagerly; its covariance is current
- * only through marginalVariance()/flush().  Callers must flush()
- * before reading covariance entries directly, and discard() before a
- * full re-solve (which supersedes anything pending).
- *
- * Borrows the joint and scratch; one updater serves one EP run (or
- * one partition lane).  Not thread-safe across lanes sharing a
- * scratch.
+ * A sweep is one backward pass (beginSweep: Schur-complement
+ * messages from the right into every block), then the blocks in
+ * order: blockMarginal() gives the block's local marginal under the
+ * current left and right messages — exactly the joint's marginal over
+ * that block — and passForward() folds the block's updated sites into
+ * the left message for the next block.  Each step is O(b^3); storage
+ * is O(n b).  Units, scale hints and the 1e-12 ridge match
+ * GaussianSolver, so both give the same posterior.
  */
-class BlockedJointUpdater
+class ChainSolver
 {
   public:
-    /** Largest supported block (bounds a stack buffer in flush). */
-    static constexpr std::size_t kMaxBlockSize = 64;
-
-    BlockedJointUpdater(GaussianJoint &joint, SolverScratch &scratch,
-                        std::size_t block_size);
-
-    /** Marginal variance of v as of all pending updates. */
-    double marginalVariance(VarId v) const;
+    /** Block size the graph's factors imply (see the class comment). */
+    static std::size_t blockSizeOf(const FactorGraph &graph);
 
     /**
-     * Queue the site change (d_lambda, d_eta) on v.  Applies the mean
-     * update immediately and auto-flushes when the block fills.
-     * Returns false — leaving joint and block untouched — under the
-     * same conditioning guards as rank1SiteUpdate; the caller must
-     * then discard() and fall back to a full solve.
+     * (Re)build the block backbone for `graph`, reusing buffers —
+     * allocation-free when the previous graph had at least as many
+     * variables and as large a block.  The graph must outlive use.
      */
-    bool push(VarId v, double d_lambda, double d_eta);
+    void rebind(const FactorGraph &graph);
 
-    /** Apply all pending downdates to the stored lower triangle. */
-    void flush();
+    std::size_t blockSize() const { return b_; }
+    std::size_t numBlocks() const { return blocks_; }
+    /** First variable of block t. */
+    std::size_t blockBegin(std::size_t t) const { return t * b_; }
+    /** Variables in block t (the last block may be short). */
+    std::size_t blockLength(std::size_t t) const
+    {
+        return std::min(b_, n_ - t * b_);
+    }
 
-    /** Drop pending downdates (before a full re-solve). */
-    void discard() { pending_ = 0; }
+    /**
+     * Backward pass: rebuild every right message for `sites` (one per
+     * variable, natural units) and reset the left message to block 0.
+     */
+    void beginSweep(const std::vector<Gaussian> &sites);
 
-    std::size_t pending() const { return pending_; }
-    /** Lower-triangle passes performed (bench accounting). */
-    std::size_t flushes() const { return flushes_; }
+    /**
+     * Local marginal of block t under the current messages, in
+     * natural units: `local` becomes a blockLength(t)-variable joint
+     * indexed from blockBegin(t).  Its covariance is full (symmetric),
+     * so GaussianSolver::rank1SiteUpdate applies to it directly.
+     */
+    void blockMarginal(std::size_t t, const std::vector<Gaussian> &sites,
+                       GaussianJoint &local);
+
+    /** Fold block t (with its current sites) into the left message of
+     * block t + 1.  No-op for the last block. */
+    void passForward(std::size_t t, const std::vector<Gaussian> &sites);
+
+    /**
+     * Every variable's marginal mean and standard deviation (natural
+     * units) for `sites`: one backward and one forward pass.  `local`
+     * is block scratch.
+     */
+    void marginals(const std::vector<Gaussian> &sites,
+                   std::vector<double> &mean, std::vector<double> &stddev,
+                   GaussianJoint &local);
+
+    /** Buffer-growth events since construction. */
+    std::size_t bufferGrows() const { return grows_; }
+    /** Doubles of buffer capacity held (memory accounting). */
+    std::size_t bufferDoubles() const;
 
   private:
-    GaussianJoint *joint_;
-    SolverScratch *scratch_;
-    std::size_t blockSize_;
-    std::size_t n_;
-    std::size_t pending_ = 0;
-    std::size_t flushes_ = 0;
+    /** Scaled precision and information of block t with its sites
+     * and, on request, the left and/or right message, into A_/a_. */
+    void assemble(std::size_t t, const std::vector<Gaussian> &sites,
+                  bool left, bool right);
+    /**
+     * Eliminate the block held in A_/a_ (m variables) through the
+     * coupling B (m x q, element (i, j) at B[i * rs + j * cs]):
+     * prec = -B^T A^-1 B (q x q, row stride b), info = -B^T A^-1 a.
+     */
+    void eliminate(std::size_t m, const double *B, std::size_t rs,
+                   std::size_t cs, std::size_t q, double *prec,
+                   double *info);
+
+    std::size_t n_ = 0;
+    std::size_t b_ = 1;
+    std::size_t blocks_ = 0;
+    std::vector<double> scale_; // per-variable scale hints
+    std::vector<double> baseH_; // backbone information (scaled)
+    std::vector<double> D_;     // diagonal blocks, b x b each
+    std::vector<double> U_;     // couplings J[t, t+1], b x b each
+    std::vector<double> R_;     // right messages (precision), b x b each
+    std::vector<double> r_;     // right messages (information), n
+    std::vector<double> L_;     // left message into the current block
+    std::vector<double> l_;
+    Matrix A_;                  // assembled block (scaled)
+    std::vector<double> a_;
+    std::vector<double> W_;     // elimination scratch, b x b
+    std::vector<double> w_;
+    std::vector<double> chol_;  // choleskyInverseInto scratch
+    std::size_t grows_ = 0;
 };
 
 } // namespace graph

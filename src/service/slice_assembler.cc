@@ -1,6 +1,7 @@
 #include "service/slice_assembler.h"
 
 #include <algorithm>
+#include <cmath>
 
 #include "common/logging.h"
 #include "telemetry/telemetry.h"
@@ -69,7 +70,13 @@ SliceAssembler::feed(const sim::PerfRecord &rec,
 {
     const std::size_t idx =
         rec.event < eventIndex_.size() ? eventIndex_[rec.event] : SIZE_MAX;
-    if (idx == SIZE_MAX || rec.slice < frontSlice_ ||
+    // A non-finite reading or a negative time would reach the model as
+    // an invalid measurement (or a silently wrong one): drop it here.
+    const bool malformed = !std::isfinite(rec.value) ||
+                           !std::isfinite(rec.timeEnabled) ||
+                           !std::isfinite(rec.timeRunning) ||
+                           rec.timeEnabled < 0.0 || rec.timeRunning < 0.0;
+    if (malformed || idx == SIZE_MAX || rec.slice < frontSlice_ ||
         (open_ && rec.slice < curSlice_)) {
         ++rejected_;
         recordsRejectedCounter().add();

@@ -51,8 +51,9 @@ class SliceAssembler
      * the slice index stays a wall-clock time base.  Returns the
      * number of slices appended.
      *
-     * Records for unknown events or for slices older than the current
-     * assembly front are counted as rejected and dropped.
+     * Records for unknown events, for slices older than the current
+     * assembly front, or with a non-finite value or time or a
+     * negative time are counted as rejected and dropped.
      */
     std::size_t feed(const sim::PerfRecord &rec,
                      std::vector<core::SliceMeasurements> &out);

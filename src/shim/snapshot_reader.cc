@@ -322,36 +322,41 @@ namespace {
 
 /**
  * Frozen-odd bookkeeping shared by peekSlot/readSlotImpl.  Tracks the
- * *latest* odd value seen and how many consecutive attempts re-saw it
- * — any odd value, first observed at any attempt.  (The PR 7 code
- * only armed on the odd value of attempt 0, so a writer that died on
- * an odd value first seen later — or that advanced to a new odd value
- * and then died — was reported Torn forever, recreating the
- * spin-forever loop WriterDead exists to break.)
+ * *latest* odd value seen — first observed at any attempt — and when
+ * this reader first saw it, by its own steady clock.  (Arming only on
+ * the odd value of attempt 0 would report a writer that died on an odd
+ * value first seen later as Torn forever, recreating the spin-forever
+ * loop WriterDead exists to break.)
+ *
+ * The retry budget bounds a *moving* sequence.  Once it is spent, a
+ * read whose latest attempt found a publish in flight keeps retrying
+ * until that publish closes, or until its odd value has held for
+ * longer than any publish takes (SnapshotReader::kWriterDeadNanos):
+ * then, and only then, the writer is dead.  Counting spins instead
+ * would condemn live writers — a publish can outlast many spins.
  */
 struct OddStreak
 {
     std::uint64_t value = 0;
-    std::size_t length = 0;
+    std::uint64_t sinceNanos = 0;
+    bool held = false; // the latest attempt saw `value`
 
     void sawOdd(std::uint64_t seq)
     {
-        if (length != 0 && seq == value) {
-            ++length;
-        } else {
+        if (!held || seq != value) {
             value = seq;
-            length = 1;
+            sinceNanos = steadyNowNanos();
+            held = true;
         }
     }
-    void sawEven() { length = 0; }
+    void sawEven() { held = false; }
 
-    /** Dead if the same odd value held for the majority of the retry
-     * budget with no movement since: a live seqlock writer closes a
-     * publish within a handful of reader iterations, so a majority-
-     * of-budget freeze is a writer that will never finish. */
-    bool dead(std::size_t max_retries) const
+    /** Whether attempt `attempt` may run under a `max_retries` budget. */
+    bool keepTrying(std::size_t attempt, std::size_t max_retries) const
     {
-        return length >= max_retries / 2 + 1;
+        return attempt <= max_retries ||
+               (held && steadyNowNanos() - sinceNanos <=
+                            SnapshotReader::kWriterDeadNanos);
     }
 };
 
@@ -369,7 +374,8 @@ SnapshotReader::peekSlot(std::size_t slot, std::uint64_t &session_id,
             return *cached;
     }
     OddStreak odd;
-    for (std::size_t attempt = 0; attempt <= max_retries; ++attempt) {
+    for (std::size_t attempt = 0; odd.keepTrying(attempt, max_retries);
+         ++attempt) {
         if (retryProbe_)
             retryProbe_(attempt);
         const std::uint64_t s1 = s->seq.load(std::memory_order_acquire);
@@ -456,7 +462,7 @@ SnapshotReader::peekSlot(std::size_t slot, std::uint64_t &session_id,
         session_id = id;
         return ReadStatus::Ok;
     }
-    if (odd.dead(max_retries)) {
+    if (odd.held) { // held odd past kWriterDeadNanos
         quarantine(slot, odd.value);
         return ReadStatus::WriterDead;
     }
@@ -481,7 +487,8 @@ SnapshotReader::readSlotImpl(std::size_t slot, PosteriorSnapshot &out,
     // reallocate its counters vector per attempt.
     PosteriorSnapshot snap;
     OddStreak odd;
-    for (std::size_t attempt = 0; attempt <= max_retries; ++attempt) {
+    for (std::size_t attempt = 0; odd.keepTrying(attempt, max_retries);
+         ++attempt) {
         if (retryProbe_)
             retryProbe_(attempt);
         const std::uint64_t s1 = s->seq.load(std::memory_order_acquire);
@@ -592,7 +599,7 @@ SnapshotReader::readSlotImpl(std::size_t slot, PosteriorSnapshot &out,
         out = std::move(snap);
         return ReadStatus::Ok;
     }
-    if (odd.dead(max_retries)) {
+    if (odd.held) { // held odd past kWriterDeadNanos
         quarantine(slot, odd.value);
         return ReadStatus::WriterDead;
     }

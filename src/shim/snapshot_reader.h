@@ -58,9 +58,9 @@ enum class ReadStatus
      * again. */
     Torn,
     /** The slot's sequence froze on one odd value — a publish in
-     * flight that never completed.  A live seqlock writer advances
-     * the sequence within a handful of reader iterations, so a
-     * frozen odd sequence means the writer died (or was killed)
+     * flight that never completed.  A live seqlock writer closes a
+     * publish well within SnapshotReader::kWriterDeadNanos, so an odd
+     * sequence held that long means the writer died (or was killed)
      * mid-publish, leaving the slot odd forever.  Persistent until
      * the daemon restarts and reinitialises the segment; consumers
      * should treat the session as lost, not poll it as contended. */
@@ -184,6 +184,16 @@ class SnapshotReader
     /** Default torn-read retry bound per read. */
     static constexpr std::size_t kDefaultMaxRetries = 64;
 
+    /**
+     * How long one odd sequence must hold, on the reader's steady
+     * clock, before the slot's writer is declared dead.  A publish
+     * keeps a slot odd for well under a microsecond; the margin covers
+     * a live writer preempted mid-publish for several scheduler
+     * periods.  A read of a dead slot waits this long once, then the
+     * verdict is quarantined.
+     */
+    static constexpr std::uint64_t kWriterDeadNanos = 100'000'000;
+
     /** In-process view over a live region (no copy, no syscalls). */
     explicit SnapshotReader(const SnapshotRegion &region);
 
@@ -225,7 +235,9 @@ class SnapshotReader
     /**
      * Copy the latest snapshot of `session_id` into `out`.  Scans the
      * slot table (slot count is small by design).  Wait-free except
-     * for seqlock retries, which are bounded by `max_retries`.
+     * for seqlock retries, which are bounded by `max_retries`, and a
+     * slot left odd when they run out, which is waited on for at most
+     * kWriterDeadNanos.
      */
     ReadStatus read(std::uint64_t session_id, PosteriorSnapshot &out,
                     std::size_t max_retries = kDefaultMaxRetries) const;

@@ -89,23 +89,27 @@ TEST(JsonWriter, EpWindowBenchSchemaIsValid)
         .field("window_slices", 6)
         .field("joint_size", 78)
         .field("quad_kernel", "avx2")
-        .field("block_size", 8)
-        .field("partitions", 2)
-        .field("us_per_window_fast", 730.5)
-        .field("us_per_window_scalar", 4500.0)
-        .field("us_per_window_partitioned", 3100.0)
-        .field("us_per_window_dense", 45000.25)
-        .field("us_per_window_mcmc", 30000.0)
-        .field("speedup_fast_vs_dense", 16.66)
-        .field("speedup_simd_vs_scalar", 6.15)
+        .field("us_per_window_fast", 680.5)
+        .field("us_per_window_scalar", 4000.0)
+        .field("us_per_window_dense", 64000.25)
+        .field("us_per_window_mcmc", 11000.0)
+        .field("speedup_fast_vs_dense", 94.05)
+        .field("speedup_simd_vs_scalar", 5.88)
+        .field("wide_events", 32)
+        .field("wide_window_slices", 8)
+        .field("wide_joint_size", 256)
+        .field("us_per_window_fast_wide", 4500.0)
+        .field("us_per_window_dense_wide", 5800000.0)
+        .field("speedup_fast_vs_dense_wide", 1288.9)
         .field("moment_evals_per_window", 293.0)
-        .field("rank1_updates_per_window", 292.0)
-        .field("full_solves_per_window", 2.0)
-        .field("block_flushes_per_window", 37.0)
+        .field("rank1_updates_per_window", 293.0)
+        .field("full_solves_per_window", 8.7)
+        .field("block_flushes_per_window", 46.3)
         .field("buffer_growths", 1205)
         .field("quadrature_us", 1.25)
-        .field("rank1_update_us", 10.5)
-        .field("full_solve_us", 120.75)
+        .field("rank1_update_us", 0.11)
+        .field("chain_pass_us", 42.0)
+        .field("full_solve_us", 197.25)
         .endObject();
     const std::string doc = json.str();
     EXPECT_TRUE(JsonChecker(doc).valid());
@@ -113,7 +117,9 @@ TEST(JsonWriter, EpWindowBenchSchemaIsValid)
          {"events", "window_slices", "joint_size", "quad_kernel",
           "us_per_window_fast", "us_per_window_scalar",
           "us_per_window_dense", "speedup_fast_vs_dense",
-          "speedup_simd_vs_scalar", "buffer_growths"})
+          "speedup_simd_vs_scalar", "us_per_window_fast_wide",
+          "us_per_window_dense_wide", "speedup_fast_vs_dense_wide",
+          "buffer_growths"})
         EXPECT_NE(doc.find('"' + std::string(key) + "\": "),
                   std::string::npos)
             << key;

@@ -1,7 +1,8 @@
 /**
  * @file
  * Tests for Expectation Propagation: tilted-moment computation,
- * agreement with exact Gaussian inference, robustness behaviour.
+ * agreement with exact Gaussian inference, the chain sweep against the
+ * dense reference, robustness behaviour.
  */
 
 #include <algorithm>
@@ -13,7 +14,9 @@
 #include "core/ep.h"
 #include "common/rng.h"
 #include "common/stats.h"
+#include "core/model_builder.h"
 #include "graph/exact.h"
+#include "sim/microarch.h"
 
 namespace bperf {
 namespace core {
@@ -267,7 +270,7 @@ TEST(ExpectationPropagation, Rank1UpdatesMatchDenseResolve)
     for (double nu : {3.0, 5.0, 1e6}) {
         FactorGraph g = makeChain(nu);
         EpConfig fast;
-        fast.jointStrategy = JointStrategy::Rank1;
+        fast.jointStrategy = JointStrategy::Chain;
         EpConfig dense;
         dense.jointStrategy = JointStrategy::DenseResolve;
         const EpResult rf = ExpectationPropagation(fast).run(g);
@@ -288,6 +291,233 @@ TEST(ExpectationPropagation, Rank1UpdatesMatchDenseResolve)
                 << "nu=" << nu << " var " << v;
         }
     }
+}
+
+/** One measurement site of a window graph. */
+struct WindowSite
+{
+    sim::EventId event;
+    std::size_t slice;
+    MeasurementModel m;
+};
+
+/**
+ * Measurements for the first `num_events` catalog events over k
+ * slices (the whole catalog under includeLatent), each event observed
+ * in one slice of every `every` — a multiplexing-like pattern — in
+ * the event-major order the windowed engine adds them.
+ */
+std::vector<WindowSite>
+windowSites(const sim::MicroarchDescriptor &uarch,
+            const std::vector<sim::EventId> &events, std::size_t k,
+            std::size_t every)
+{
+    Rng rng(17 + events.size() * 31 + k);
+    std::vector<WindowSite> sites;
+    for (std::size_t i = 0; i < events.size(); ++i) {
+        const double level = uarch.event(events[i]).typicalPerSlice;
+        for (std::size_t t = 0; t < k; ++t) {
+            if ((i + t) % every != 0)
+                continue;
+            MeasurementModel m;
+            m.loc = level * (1.0 + 0.2 * rng.normal());
+            m.scale = 0.1 * level;
+            m.nu = i % 2 == 0 ? 3.0 : 30.0;
+            sites.push_back({events[i], t, m});
+        }
+    }
+    return sites;
+}
+
+std::vector<sim::EventId>
+firstEvents(const sim::MicroarchDescriptor &uarch, std::size_t n)
+{
+    std::vector<sim::EventId> events;
+    for (std::size_t i = 0; i < n; ++i)
+        events.push_back(uarch.events()[i].id);
+    return events;
+}
+
+/** Per-slice instruction counts: enables the ratio walks. */
+std::vector<double>
+normalizerFor(std::size_t k)
+{
+    std::vector<double> norm;
+    for (std::size_t t = 0; t < k; ++t)
+        norm.push_back(1e9 * (1.0 + 0.1 * std::sin(static_cast<double>(t))));
+    return norm;
+}
+
+void
+expectPosteriorsClose(const EpResult &got, const EpResult &want,
+                      double rel_tol, const std::string &what)
+{
+    ASSERT_EQ(got.mean.size(), want.mean.size()) << what;
+    for (std::size_t v = 0; v < want.mean.size(); ++v) {
+        EXPECT_NEAR(got.mean[v], want.mean[v],
+                    rel_tol * std::abs(want.mean[v]) + 1e-9)
+            << what << " mean[" << v << "]";
+        EXPECT_NEAR(got.stddev[v], want.stddev[v],
+                    rel_tol * want.stddev[v] + 1e-12)
+            << what << " stddev[" << v << "]";
+    }
+}
+
+TEST(ChainSweep, MatchesDenseResolveOnWindowModels)
+{
+    // The chain sweep is sequential EP with the dense joint replaced
+    // by block-local marginals, on the same schedule as DenseResolve:
+    // the two must agree to rounding.  A dense solve at n = 256 costs
+    // milliseconds and DenseResolve runs one per site change, so the
+    // wide shapes (includeLatent models the whole catalog) observe
+    // fewer sites and stop after two sweeps.
+    const sim::MicroarchDescriptor uarch = sim::makeX86Skylake();
+    struct Shape
+    {
+        std::size_t events, k;
+        bool latent;
+        std::size_t every, sweeps;
+    };
+    for (const Shape shape :
+         {Shape{13, 1, false, 2, 8}, Shape{13, 1, true, 2, 8},
+          Shape{13, 6, false, 2, 8}, Shape{13, 6, true, 6, 2},
+          Shape{32, 8, false, 8, 2}, Shape{32, 8, true, 16, 2}}) {
+        ModelConfig mc;
+        mc.includeLatent = shape.latent;
+        const std::vector<double> norm = normalizerFor(shape.k);
+        WindowModel model(uarch, firstEvents(uarch, shape.events), shape.k,
+                          mc, nullptr, &norm);
+        for (const WindowSite &s :
+             windowSites(uarch, model.events(), shape.k, shape.every))
+            model.addMeasurement(s.event, s.slice, s.m);
+
+        EpConfig chain_cfg;
+        chain_cfg.maxSweeps = shape.sweeps;
+        EpConfig dense_cfg = chain_cfg;
+        dense_cfg.jointStrategy = JointStrategy::DenseResolve;
+        const EpResult chain =
+            ExpectationPropagation(chain_cfg).run(model.graph());
+        const EpResult dense =
+            ExpectationPropagation(dense_cfg).run(model.graph());
+        const std::string what = std::to_string(model.events().size()) +
+                                 "x" + std::to_string(shape.k) +
+                                 (shape.latent ? " latent" : "");
+        EXPECT_GT(chain.rank1Updates, 0u) << what;
+        EXPECT_EQ(chain.sweeps, dense.sweeps) << what;
+        EXPECT_EQ(chain.skippedUpdates, dense.skippedUpdates) << what;
+        expectPosteriorsClose(chain, dense, 1e-6, what);
+    }
+}
+
+TEST(ChainSweep, BlockIsOneSliceOfAWindowModel)
+{
+    const sim::MicroarchDescriptor uarch = sim::makeX86Skylake();
+    for (std::size_t k : {2u, 6u, 8u}) {
+        for (bool latent : {false, true}) {
+            ModelConfig mc;
+            mc.includeLatent = latent;
+            const std::vector<double> norm = normalizerFor(k);
+            const WindowModel model(uarch, firstEvents(uarch, 13), k, mc,
+                                    nullptr, &norm);
+            graph::ChainSolver chain;
+            chain.rebind(model.graph());
+            EXPECT_EQ(chain.blockSize(), model.events().size())
+                << "k=" << k << (latent ? " latent" : "");
+            EXPECT_EQ(chain.numBlocks(), k);
+        }
+    }
+}
+
+TEST(ChainSweep, ScheduleIsBlockMajorWhateverTheSiteOrder)
+{
+    // Sites run block by block, in graph order within a block.  Adding
+    // the same sites with the blocks interleaved differently (order
+    // within each block kept) must therefore give a bit-identical
+    // posterior, and a fully shuffled order must still match
+    // DenseResolve, which runs the same block schedule.
+    const sim::MicroarchDescriptor uarch = sim::makeX86Skylake();
+    constexpr std::size_t k = 6;
+    const std::vector<sim::EventId> events = firstEvents(uarch, 13);
+    const std::vector<double> norm = normalizerFor(k);
+    const std::vector<WindowSite> base = windowSites(uarch, events, k, 2);
+
+    auto run = [&](const std::vector<WindowSite> &sites,
+                   JointStrategy strategy) {
+        WindowModel model(uarch, events, k, {}, nullptr, &norm);
+        for (const WindowSite &s : sites)
+            model.addMeasurement(s.event, s.slice, s.m);
+        EpConfig cfg;
+        cfg.jointStrategy = strategy;
+        return ExpectationPropagation(cfg).run(model.graph());
+    };
+
+    // Slice-major (block order) vs the event-major base order: the
+    // per-block order is the event order either way.
+    std::vector<WindowSite> by_slice = base;
+    std::stable_sort(by_slice.begin(), by_slice.end(),
+                     [](const WindowSite &a, const WindowSite &b) {
+                         return a.slice < b.slice;
+                     });
+    const EpResult event_major = run(base, JointStrategy::Chain);
+    const EpResult slice_major = run(by_slice, JointStrategy::Chain);
+    ASSERT_EQ(event_major.mean.size(), slice_major.mean.size());
+    for (std::size_t v = 0; v < event_major.mean.size(); ++v) {
+        EXPECT_EQ(event_major.mean[v], slice_major.mean[v]) << v;
+        EXPECT_EQ(event_major.stddev[v], slice_major.stddev[v]) << v;
+    }
+
+    std::vector<WindowSite> shuffled = base;
+    Rng rng(5);
+    for (std::size_t i = shuffled.size(); i > 1; --i)
+        std::swap(shuffled[i - 1],
+                  shuffled[static_cast<std::size_t>(rng.uniform() * i)]);
+    expectPosteriorsClose(run(shuffled, JointStrategy::Chain),
+                          run(shuffled, JointStrategy::DenseResolve), 1e-6,
+                          "shuffled");
+}
+
+TEST(ChainSweep, WarmWorkspaceAllocatesNothing)
+{
+    const sim::MicroarchDescriptor uarch = sim::makeX86Skylake();
+    const std::vector<double> norm = normalizerFor(8);
+    WindowModel model(uarch, firstEvents(uarch, 32), 8, {}, nullptr, &norm);
+    for (const WindowSite &s : windowSites(uarch, model.events(), 8, 4))
+        model.addMeasurement(s.event, s.slice, s.m);
+
+    EpWorkspace ws;
+    EpResult result;
+    const ExpectationPropagation ep;
+    ep.run(model.graph(), ws, result);
+    EXPECT_GT(result.workspaceAllocations, 0u);
+    const std::vector<double> first = result.mean;
+    ep.run(model.graph(), ws, result);
+    EXPECT_EQ(result.workspaceAllocations, 0u);
+    EXPECT_EQ(result.mean, first);
+}
+
+TEST(ChainSweep, WorkspaceHoldsNoDenseJoint)
+{
+    // O(k e^2) storage: messages and blocks, never an n x n buffer.
+    // Doubling the window doubles the workspace instead of
+    // quadrupling it.
+    const sim::MicroarchDescriptor uarch = sim::makeX86Skylake();
+    constexpr std::size_t e = 32;
+    std::size_t held[2] = {0, 0};
+    for (std::size_t i = 0; i < 2; ++i) {
+        const std::size_t k = 8 << i;
+        const std::vector<double> norm = normalizerFor(k);
+        WindowModel model(uarch, firstEvents(uarch, e), k, {}, nullptr,
+                          &norm);
+        for (const WindowSite &s : windowSites(uarch, model.events(), k, 4))
+            model.addMeasurement(s.event, s.slice, s.m);
+        EpWorkspace ws;
+        ExpectationPropagation().run(model.graph(), ws);
+        const std::size_t n = e * k;
+        held[i] = ws.bufferDoubles();
+        EXPECT_LE(held[i], 4 * (k + 2) * e * e + 16 * n) << "k=" << k;
+        EXPECT_LT(held[i], n * n) << "k=" << k;
+    }
+    EXPECT_LT(held[1], 5 * held[0] / 2);
 }
 
 TEST(ExpectationPropagation, UnbiasedUnderSymmetricNoise)

@@ -2,10 +2,11 @@
  * @file
  * Golden-posterior regression suite for the EP fast path.
  *
- * The rank-1 rewrite of the EP inner loop (Sherman-Morrison joint
- * updates + fused quadrature) must not move posteriors.  Two locks:
+ * The EP fast path (chain sweep over block-local marginals with
+ * Sherman-Morrison site updates + fused quadrature) must not move
+ * posteriors.  Two locks:
  *
- *  1. Strategy agreement: for every case, JointStrategy::Rank1 and
+ *  1. Strategy agreement: for every case, JointStrategy::Chain and
  *     JointStrategy::DenseResolve (full re-solve after every site
  *     update, same schedule) agree within 1e-6 relative tolerance.
  *
@@ -154,8 +155,6 @@ runCase(const GoldenCase &c, JointStrategy strategy)
     EpConfig cfg;
     cfg.method = c.method;
     cfg.jointStrategy = strategy;
-    // A low refactor interval would mask drift; keep the default so
-    // the suite tests what production runs.
     ExpectationPropagation ep(cfg);
     return ep.run(g);
 }
@@ -383,7 +382,7 @@ expectClose(double actual, double expected, double rel_tol,
 TEST(GoldenPosteriors, Rank1AgreesWithDenseResolve)
 {
     for (const GoldenCase &c : goldenCases()) {
-        const EpResult fast = runCase(c, JointStrategy::Rank1);
+        const EpResult fast = runCase(c, JointStrategy::Chain);
         const EpResult dense = runCase(c, JointStrategy::DenseResolve);
         ASSERT_EQ(fast.mean.size(), dense.mean.size()) << c.name;
         EXPECT_GT(fast.rank1Updates, 0u) << c.name;
@@ -404,7 +403,7 @@ TEST(GoldenPosteriors, DegenerateCaseExercisesSkippedUpdates)
     d.method = MomentMethod::Quadrature;
     d.degenerate = true;
     d.name = "degenerate";
-    const EpResult r = runCase(d, JointStrategy::Rank1);
+    const EpResult r = runCase(d, JointStrategy::Chain);
     EXPECT_GT(r.skippedUpdates, 0u)
         << "degenerate case no longer hits the improper-cavity path";
     for (double m : r.mean)
@@ -423,7 +422,7 @@ TEST(GoldenPosteriors, SimdQuadratureBitIdenticalToScalar)
             continue;
         const FactorGraph g = makeWindowGraph(c.k, c.degenerate);
         EpConfig cfg;
-        cfg.jointStrategy = JointStrategy::Rank1;
+        cfg.jointStrategy = JointStrategy::Chain;
         cfg.simdQuadrature = true;
         ExpectationPropagation simd_ep(cfg);
         const EpResult simd = simd_ep.run(g);
@@ -443,91 +442,12 @@ TEST(GoldenPosteriors, SimdQuadratureBitIdenticalToScalar)
     }
 }
 
-TEST(GoldenPosteriors, PartitionedSweepsAgreeWithSequential)
-{
-    // Partition-parallel sweeps follow a different update schedule
-    // (frozen lane joints, merge solve), so mid-trajectory iterates
-    // differ; run both schedules to convergence at a tight tolerance
-    // and compare the fixed points.  Quadrature only: the MCMC moment
-    // sampler consumes its RNG in schedule order, so its Monte Carlo
-    // error would dominate any schedule comparison.
-    constexpr double kPartitionRelTol = 1e-10;
-    for (const GoldenCase &c : goldenCases()) {
-        if (c.method != MomentMethod::Quadrature)
-            continue;
-        const FactorGraph g = makeWindowGraph(c.k, c.degenerate);
-        EpConfig cfg;
-        cfg.jointStrategy = JointStrategy::Rank1;
-        cfg.tolerance = 1e-12;
-        cfg.maxSweeps = 60;
-        ExpectationPropagation seq_ep(cfg);
-        const EpResult sequential = seq_ep.run(g);
-
-        for (std::size_t parts : {2u, 4u}) {
-            cfg.partitions = parts;
-            ExpectationPropagation par_ep(cfg);
-            const EpResult partitioned = par_ep.run(g);
-            ASSERT_EQ(partitioned.mean.size(), sequential.mean.size())
-                << c.name;
-            for (std::size_t v = 0; v < sequential.mean.size(); ++v) {
-                expectClose(partitioned.mean[v], sequential.mean[v],
-                            kPartitionRelTol,
-                            c.name + " p" + std::to_string(parts) +
-                                " mean[" + std::to_string(v) + "]");
-                expectClose(partitioned.stddev[v], sequential.stddev[v],
-                            kPartitionRelTol,
-                            c.name + " p" + std::to_string(parts) +
-                                " stddev[" + std::to_string(v) + "]");
-            }
-        }
-    }
-}
-
-TEST(GoldenPosteriors, PartitionedSweepsDeterministic)
-{
-    // The partition-parallel schedule must be a pure function of the
-    // graph: bit-identical across worker thread counts and across
-    // repeated runs through the same engine (which reuses its
-    // workspace arenas).
-    const FactorGraph g = makeWindowGraph(6, false);
-    EpConfig cfg;
-    cfg.jointStrategy = JointStrategy::Rank1;
-    cfg.partitions = 4;
-    cfg.partitionThreads = 1;
-    ExpectationPropagation base_ep(cfg);
-    const EpResult base = base_ep.run(g);
-    ASSERT_FALSE(base.mean.empty());
-
-    const EpResult again = base_ep.run(g);
-    ASSERT_EQ(again.mean.size(), base.mean.size());
-    EXPECT_EQ(again.sweeps, base.sweeps);
-    for (std::size_t v = 0; v < base.mean.size(); ++v) {
-        EXPECT_EQ(again.mean[v], base.mean[v]) << "rerun mean[" << v << "]";
-        EXPECT_EQ(again.stddev[v], base.stddev[v])
-            << "rerun stddev[" << v << "]";
-    }
-
-    for (std::size_t threads : {2u, 4u}) {
-        cfg.partitionThreads = threads;
-        ExpectationPropagation ep(cfg);
-        const EpResult r = ep.run(g);
-        ASSERT_EQ(r.mean.size(), base.mean.size()) << threads;
-        EXPECT_EQ(r.sweeps, base.sweeps) << threads;
-        for (std::size_t v = 0; v < base.mean.size(); ++v) {
-            EXPECT_EQ(r.mean[v], base.mean[v])
-                << threads << " threads, mean[" << v << "]";
-            EXPECT_EQ(r.stddev[v], base.stddev[v])
-                << threads << " threads, stddev[" << v << "]";
-        }
-    }
-}
-
 TEST(GoldenPosteriors, MatchesRecordedFixtures)
 {
     const std::vector<GoldenCase> cases = goldenCases();
     std::vector<EpResult> results;
     for (const GoldenCase &c : cases)
-        results.push_back(runCase(c, JointStrategy::Rank1));
+        results.push_back(runCase(c, JointStrategy::Chain));
 
     if (regenRequested()) {
         writeFixture(cases, results);

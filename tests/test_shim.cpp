@@ -280,6 +280,49 @@ TEST(SnapshotReader, OddSequenceFirstSeenMidScanStillReportsWriterDead)
     EXPECT_EQ(stats.quarantinedSlots, 1u);
 }
 
+TEST(SnapshotReader, LiveWriterIsNeverReportedDead)
+{
+    // Regression: the dead-writer rule used to count reader spins, and
+    // 33 spins on one odd sequence can be shorter than one live
+    // publish — a read landing mid-publish was condemned WriterDead.
+    // A busy writer republishes 16 slots 2 µs apart for 3 s while a
+    // reader sweeps them; no read may call this writer dead.
+    constexpr std::size_t kSlots = 16, kEvents = 32;
+    SnapshotRegion region(SnapshotRegionConfig{kSlots, kEvents});
+    std::atomic<bool> stop{false};
+    std::thread writer([&] {
+        const std::vector<sim::EventId> events(kEvents, 1);
+        std::vector<core::PosteriorPoint> posterior(kEvents);
+        for (std::uint64_t w = 0; !stop.load(std::memory_order_relaxed);
+             ++w) {
+            const std::size_t slot = w % kSlots;
+            posterior[0].mean = static_cast<double>(w);
+            region.write(slot, /*session_id=*/slot + 1, w, w, {}, events,
+                         posterior, /*publish_nanos=*/w);
+            const auto next = std::chrono::steady_clock::now() +
+                              std::chrono::microseconds(2);
+            while (std::chrono::steady_clock::now() < next) {
+            }
+        }
+    });
+
+    SnapshotReader reader(region);
+    PosteriorSnapshot snap;
+    std::uint64_t reads = 0, ok = 0, dead = 0;
+    const auto deadline =
+        std::chrono::steady_clock::now() + std::chrono::seconds(3);
+    while (std::chrono::steady_clock::now() < deadline) {
+        const ReadStatus status = reader.readSlot(reads % kSlots, snap);
+        ++reads;
+        ok += status == ReadStatus::Ok;
+        dead += status == ReadStatus::WriterDead;
+    }
+    stop.store(true);
+    writer.join();
+    EXPECT_EQ(dead, 0u) << "of " << reads << " reads";
+    EXPECT_GT(ok, 1000u);
+}
+
 TEST(SnapshotReader, FlippedPayloadWordReadsCorruptNeverOk)
 {
     SnapshotRegion region(SnapshotRegionConfig{2, 4});

@@ -1,12 +1,21 @@
 /** @file Edge-case tests for the per-session record-to-slice
  * reassembly (SliceAssembler): boundary records, duplicate and
- * missing group members, gaps, and the partial final slice. */
+ * missing group members, gaps, the partial final slice, and hostile
+ * (non-finite or negative) records rejected at ingest. */
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <functional>
+#include <limits>
 #include <vector>
 
+#include "service/record_stream.h"
 #include "service/slice_assembler.h"
+#include "service/streaming_inference.h"
+#include "sim/ground_truth.h"
+#include "sim/perf_session.h"
+#include "workloads/hibench.h"
 
 namespace bperf {
 namespace service {
@@ -176,6 +185,75 @@ TEST(SliceAssemblerEdge, DutyCycleMetadataTracksLastRead)
     EXPECT_DOUBLE_EQ(out[0][0].timeEnabled, 2.0);
     EXPECT_DOUBLE_EQ(out[0][0].timeRunning, 0.75);
     EXPECT_DOUBLE_EQ(out[0][0].rawCount, 10.0);
+}
+
+/**
+ * Stream a simulated run through StreamingInference with one record in
+ * the middle of the stream replaced by `corrupt(record)`, and check
+ * the daemon's contract for hostile input: the record is rejected
+ * (exactly one), nothing aborts, and every posterior stays finite.
+ */
+void
+expectHostileRecordRejected(
+    const std::function<void(sim::PerfRecord &)> &corrupt)
+{
+    const sim::MicroarchDescriptor uarch = sim::makeX86Skylake();
+    std::vector<sim::EventId> events;
+    for (sim::Role r : {sim::Role::LlcMiss, sim::Role::L2Miss,
+                        sim::Role::Loads, sim::Role::Stores,
+                        sim::Role::Branches, sim::Role::BranchMisses})
+        events.push_back(uarch.idForRole(r));
+    const sim::GroundTruthGenerator generator(uarch,
+                                              wl::makeHibench("KMeans"));
+    sim::PerfSessionConfig perf;
+    perf.seed = 3;
+    sim::PerfSession session(uarch, perf);
+    const sim::PerfResult run =
+        session.runRoundRobin(generator.generate(16, 11), events);
+    std::vector<sim::PerfRecord> records = recordStream(run);
+    ASSERT_GT(records.size(), 10u);
+    corrupt(records[records.size() / 2]);
+
+    StreamingConfig cfg;
+    cfg.inference.windowSlices = 4;
+    StreamingInference inference(uarch, run.monitored, cfg);
+    for (const sim::PerfRecord &r : records)
+        inference.consume(r);
+    inference.finish();
+    EXPECT_EQ(inference.recordsRejected(), 1u);
+    EXPECT_EQ(inference.recordsConsumed(), records.size() - 1);
+
+    const core::InferenceResult result = inference.takeResult();
+    ASSERT_FALSE(result.series.empty());
+    for (const auto &row : result.series) {
+        ASSERT_FALSE(row.empty());
+        for (const core::PosteriorPoint &p : row) {
+            EXPECT_TRUE(std::isfinite(p.mean));
+            EXPECT_TRUE(std::isfinite(p.stddev));
+            EXPECT_GT(p.stddev, 0.0);
+        }
+    }
+}
+
+TEST(SliceAssemblerHostile, NanValueRejected)
+{
+    expectHostileRecordRejected([](sim::PerfRecord &r) {
+        r.value = std::numeric_limits<double>::quiet_NaN();
+    });
+}
+
+TEST(SliceAssemblerHostile, InfiniteValueRejected)
+{
+    expectHostileRecordRejected([](sim::PerfRecord &r) {
+        r.value = std::numeric_limits<double>::infinity();
+    });
+}
+
+TEST(SliceAssemblerHostile, NegativeTimeRunningRejected)
+{
+    expectHostileRecordRejected([](sim::PerfRecord &r) {
+        r.timeRunning = -r.timeRunning - 0.25;
+    });
 }
 
 } // namespace
