@@ -8,7 +8,6 @@
 #include <iostream>
 
 #include "accel/accelerator.h"
-#include "baselines/bayesperf_estimator.h"
 #include "bench_util.h"
 #include "common/table.h"
 #include "core/bayesperf.h"
@@ -29,15 +28,14 @@ errorWith(const sim::MicroarchDescriptor &uarch,
     core::BayesPerfConfig cfg;
     cfg.inference = inference;
     cfg.perf.seed = 33;
-    core::BayesPerfSession session(uarch, cfg);
-    session.open(bench::evaluationEventSet(uarch));
-    auto run = session.measure(truth);
+    const auto run =
+        core::measure(uarch, truth, bench::evaluationEventSet(uarch), cfg);
     *seconds = run.posterior.wallSeconds;
 
     sim::PerfSessionConfig poll_cfg;
     poll_cfg.seed = 7;
     sim::PerfSession poll(uarch, poll_cfg);
-    const auto polled = poll.runPolling(truth, session.monitored());
+    const auto polled = poll.runPolling(truth, run.raw.monitored);
     auto ref = [&](sim::EventId e) {
         return polled.traceFor(e).estimateSeries();
     };

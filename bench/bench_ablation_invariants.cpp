@@ -58,14 +58,13 @@ main()
         const sim::GroundTruthGenerator generator(uarch, workload);
         const auto truth = generator.generate(bench::defaultSlices(), 44);
 
-        core::BayesPerfSession session(uarch, {});
-        session.open(bench::evaluationEventSet(uarch));
-        auto run = session.measure(truth);
+        const auto run =
+            core::measure(uarch, truth, bench::evaluationEventSet(uarch));
 
         sim::PerfSessionConfig poll_cfg;
         poll_cfg.seed = 7;
         sim::PerfSession poll(uarch, poll_cfg);
-        const auto polled = poll.runPolling(truth, session.monitored());
+        const auto polled = poll.runPolling(truth, run.raw.monitored);
         auto ref = [&](sim::EventId e) {
             return polled.traceFor(e).estimateSeries();
         };

@@ -12,7 +12,7 @@
 
 #include "bench_util.h"
 #include "common/table.h"
-#include "core/scheduler.h"
+#include "core/bayesperf.h"
 #include "workloads/hibench.h"
 
 using namespace bperf;
@@ -37,16 +37,13 @@ main()
             cfg.truthSeed = ++seed;
             cfg.samplingSeed = seed * 13;
             cfg.pollSeed = seed * 57;
-            cfg.useOverlapSchedule = overlap;
+            cfg.reserveOverlapSlot = overlap;
             const auto errs =
                 bench::compareEstimators(uarch, workload, monitored, cfg);
 
-            core::OverlapScheduler scheduler(
-                uarch, {.reserveOverlapSlot = overlap});
-            std::vector<sim::EventId> with_fixed = uarch.fixedEvents();
-            with_fixed.insert(with_fixed.end(), monitored.begin(),
-                              monitored.end());
-            const auto schedule = scheduler.build(with_fixed);
+            const auto schedule =
+                core::OverlapScheduler(uarch, {.reserveOverlapSlot = overlap})
+                    .build(core::resolveMonitoredSet(uarch, monitored));
 
             t.addRow({name, overlap ? "overlap" : "round-robin",
                       std::to_string(schedule.configs.size()),

@@ -125,12 +125,11 @@ timeConfig(const sim::MicroarchDescriptor &uarch,
     core::InferenceConfig cfg;
     cfg.windowSlices = window_slices;
     cfg.ep = ep;
-    const core::InferenceEngine engine(uarch, cfg);
 
     WindowTiming t;
     double best = 1e300;
     for (std::size_t rep = 0; rep < reps; ++rep) {
-        const core::InferenceResult r = engine.infer(run);
+        const core::InferenceResult r = core::infer(uarch, run, cfg);
         t.windows = r.windowsRun;
         t.sweeps = r.epSweepsTotal;
         t.momentEvals = r.epMomentEvaluations;

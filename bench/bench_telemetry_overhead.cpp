@@ -65,14 +65,15 @@ makeRun(const sim::MicroarchDescriptor &uarch,
     return session.runRoundRobin(truth, monitored);
 }
 
-/** Best-of-reps µs per window of one engine.infer() pass. */
+/** Best-of-reps µs per window of one core::infer() pass. */
 double
-timeWindows(const core::InferenceEngine &engine,
-            const sim::PerfResult &run, std::size_t reps)
+timeWindows(const sim::MicroarchDescriptor &uarch,
+            const core::InferenceConfig &cfg, const sim::PerfResult &run,
+            std::size_t reps)
 {
     double best = 1e300;
     for (std::size_t rep = 0; rep < reps; ++rep) {
-        const core::InferenceResult r = engine.infer(run);
+        const core::InferenceResult r = core::infer(uarch, run, cfg);
         best = std::min(best,
                         1e6 * r.wallSeconds /
                             static_cast<double>(r.windowsRun));
@@ -145,16 +146,15 @@ main()
     const sim::PerfResult run = makeRun(uarch, monitored, num_slices);
     core::InferenceConfig cfg;
     cfg.windowSlices = 6;
-    const core::InferenceEngine engine(uarch, cfg);
 
     // Interleave enabled/disabled reps and keep each side's best, so
     // neither configuration systematically sees a warmer machine.
     double on_us = 1e300, off_us = 1e300;
     for (std::size_t rep = 0; rep < reps; ++rep) {
         telemetry::setEnabled(false);
-        off_us = std::min(off_us, timeWindows(engine, run, 1));
+        off_us = std::min(off_us, timeWindows(uarch, cfg, run, 1));
         telemetry::setEnabled(true);
-        on_us = std::min(on_us, timeWindows(engine, run, 1));
+        on_us = std::min(on_us, timeWindows(uarch, cfg, run, 1));
     }
     const double overhead_pct = 100.0 * (on_us - off_us) / off_us;
 

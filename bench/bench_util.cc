@@ -4,7 +4,6 @@
 #include <cstdlib>
 #include <limits>
 
-#include "baselines/bayesperf_estimator.h"
 #include "baselines/counterminer.h"
 #include "baselines/linux_scaling.h"
 #include "baselines/wmpin.h"
@@ -67,56 +66,57 @@ compareEstimators(const sim::MicroarchDescriptor &uarch,
     const sim::TruthTrace truth =
         generator.generate(config.numSlices, config.truthSeed);
 
-    // Sampling run through the BayesPerf session (which also gives
-    // the raw perf result the baselines consume).
-    core::BayesPerfConfig bp_cfg;
-    bp_cfg.perf.seed = config.samplingSeed;
-    bp_cfg.useOverlapSchedule = config.useOverlapSchedule;
-    core::BayesPerfSession session(uarch, bp_cfg);
-    session.open(monitored);
-
-    core::OverlapScheduler scheduler(
-        uarch, {.reserveOverlapSlot = config.useOverlapSchedule});
+    // Sampling run (the raw perf result every estimator consumes).
+    const std::vector<EventId> measured =
+        core::resolveMonitoredSet(uarch, monitored);
     const core::ScheduleResult schedule =
-        scheduler.build(session.monitored());
-    sim::PerfSessionConfig perf_cfg = bp_cfg.perf;
+        core::OverlapScheduler(
+            uarch, {.reserveOverlapSlot = config.reserveOverlapSlot})
+            .build(measured);
+    sim::PerfSessionConfig perf_cfg;
+    perf_cfg.seed = config.samplingSeed;
     sim::PerfSession perf(uarch, perf_cfg);
     const sim::PerfResult sampled =
-        perf.run(truth, session.monitored(), schedule.configs);
+        perf.run(truth, measured, schedule.configs);
 
     // Polled reference run of the same execution.
     sim::PerfSessionConfig poll_cfg;
     poll_cfg.seed = config.pollSeed;
     sim::PerfSession poll(uarch, poll_cfg);
-    const sim::PerfResult polled =
-        poll.runPolling(truth, session.monitored());
+    const sim::PerfResult polled = poll.runPolling(truth, measured);
 
     const auto &metrics = core::standardDerivedMetrics();
     auto ref_series = [&](EventId e) {
         return polled.traceFor(e).estimateSeries();
     };
 
-    auto score = [&](const baselines::Estimator &est) {
+    auto score = [&](std::string name, const ana::SeriesFn &est_series) {
         EstimatorErrors errors;
-        errors.name = est.name();
-        auto est_series = [&](EventId e) { return est.series(sampled, e); };
+        errors.name = std::move(name);
         errors.derivedErrorPct = ana::derivedErrorPercent(
             uarch, metrics, config.numSlices, est_series, ref_series);
         RunningStats ev;
-        for (EventId e : session.monitored())
-            ev.push(ana::traceErrorPercent(est.series(sampled, e),
-                                           ref_series(e)));
+        for (EventId e : measured)
+            ev.push(ana::traceErrorPercent(est_series(e), ref_series(e)));
         errors.eventErrorPct = ev.mean();
         return errors;
     };
+    auto score_baseline = [&](const baselines::Estimator &est) {
+        return score(est.name(),
+                     [&](EventId e) { return est.series(sampled, e); });
+    };
 
     std::vector<EstimatorErrors> out;
-    out.push_back(score(baselines::LinuxEstimator()));
-    out.push_back(score(baselines::CounterMinerEstimator()));
+    out.push_back(score_baseline(baselines::LinuxEstimator()));
+    out.push_back(score_baseline(baselines::CounterMinerEstimator()));
     if (config.includeWmPin)
-        out.push_back(score(baselines::WmPinEstimator(uarch)));
-    if (config.includeBayesPerf)
-        out.push_back(score(baselines::BayesPerfEstimator(uarch)));
+        out.push_back(score_baseline(baselines::WmPinEstimator(uarch)));
+    if (config.includeBayesPerf) {
+        const core::InferenceResult posterior = core::infer(uarch, sampled);
+        out.push_back(score("BayesPerf", [&](EventId e) {
+            return posterior.meanSeries(e);
+        }));
+    }
     return out;
 }
 

@@ -179,7 +179,9 @@ struct ComparisonConfig
     std::uint64_t truthSeed = 1234;
     std::uint64_t samplingSeed = 77;
     std::uint64_t pollSeed = 991;
-    bool useOverlapSchedule = true;
+    /** Overlap-aware schedule (the paper's design); false packs
+     * round-robin like Linux (see SchedulerConfig). */
+    bool reserveOverlapSlot = true;
     bool includeWmPin = false;
     bool includeBayesPerf = true;
 };

@@ -10,7 +10,9 @@
  * Runs the named workload on the simulated machine, monitors the full
  * evaluation event set, and reports per-event averages: truth, Linux
  * scaling, BayesPerf posterior mean and uncertainty, and each
- * estimator's error against a polled reference.
+ * estimator's error against a polled reference.  An unknown flag or
+ * --arch, or a non-numeric or zero --slices/--seed, prints usage and
+ * exits 1.
  */
 
 #include <cstdio>
@@ -23,9 +25,11 @@
 #include "common/stats.h"
 #include "common/table.h"
 #include "core/bayesperf.h"
+#include "example_args.h"
 #include "workloads/hibench.h"
 
 using namespace bperf;
+using examples::parseCount;
 
 namespace {
 
@@ -69,14 +73,28 @@ main(int argc, char **argv)
             }
             return argv[++i];
         };
+        // Zero slices leaves nothing to score; zero seeds are rejected
+        // with it so every numeric flag follows one rule.
+        auto next_count = [&]() -> std::size_t {
+            std::size_t v = 0;
+            if (!parseCount(next(), &v) || v == 0) {
+                usage();
+                std::exit(1);
+            }
+            return v;
+        };
         if (arg == "--arch") {
             arch = next();
+            if (arch != "x86" && arch != "ppc64") {
+                usage();
+                return 1;
+            }
         } else if (arg == "--workload") {
             workload_name = next();
         } else if (arg == "--slices") {
-            slices = static_cast<std::size_t>(std::atoll(next()));
+            slices = next_count();
         } else if (arg == "--seed") {
-            seed = static_cast<std::uint64_t>(std::atoll(next()));
+            seed = next_count();
         } else if (arg == "--round-robin") {
             round_robin = true;
         } else if (arg == "--csv") {
@@ -100,16 +118,14 @@ main(int argc, char **argv)
 
     core::BayesPerfConfig cfg;
     cfg.perf.seed = seed * 3 + 1;
-    cfg.useOverlapSchedule = !round_robin;
-    core::BayesPerfSession session(uarch, cfg);
-    session.open(events);
-    core::BayesPerfRun run = session.measure(truth);
+    cfg.scheduler.reserveOverlapSlot = !round_robin;
+    const core::BayesPerfRun run = core::measure(uarch, truth, events, cfg);
 
     sim::PerfSessionConfig poll_cfg;
     poll_cfg.seed = seed * 7 + 5;
     sim::PerfSession poll(uarch, poll_cfg);
     const sim::PerfResult polled =
-        poll.runPolling(truth, session.monitored());
+        poll.runPolling(truth, run.raw.monitored);
     baselines::LinuxEstimator linux_est;
 
     if (!csv) {
@@ -128,7 +144,7 @@ main(int argc, char **argv)
         std::puts("event,truth_avg,bayes_avg,bayes_sd,linux_err_pct,"
                   "bayes_err_pct");
 
-    for (sim::EventId e : session.monitored()) {
+    for (sim::EventId e : run.raw.monitored) {
         const auto ref = polled.traceFor(e).estimateSeries();
         const auto bayes = run.estimate(e);
         const double err_linux =

@@ -1,10 +1,10 @@
 /**
  * @file
- * Tiny argv helpers shared by the example binaries (perf_daemon,
- * shim_reader): strict numeric flag-value parsing — garbage,
- * negatives and out-of-range values are rejected, not clamped — and
- * POSIX shm name validation.  Examples only; the library proper has
- * no argv surface.
+ * Tiny argv helpers shared by the example binaries (bpmon,
+ * perf_daemon, shim_reader, pcie_scheduler): strict numeric
+ * flag-value parsing — garbage, negatives and out-of-range values are
+ * rejected, not clamped — and POSIX shm name validation.  Examples
+ * only; the library proper has no argv surface.
  */
 
 #ifndef BPERF_EXAMPLES_EXAMPLE_ARGS_H

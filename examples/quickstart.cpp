@@ -6,8 +6,9 @@
  * Walks through the whole public API:
  *   1. pick a microarchitecture,
  *   2. pick a workload and generate a ground-truth run,
- *   3. open a BayesPerfSession on a large event set,
- *   4. measure, then read posterior means and uncertainties,
+ *   3. pick a large event set,
+ *   4. measure it (core::measure), then read posterior means and
+ *      uncertainties,
  *   5. score both estimators against a polled reference run.
  */
 
@@ -35,7 +36,7 @@ main()
     const std::size_t num_slices = 96;
     const sim::TruthTrace truth = generator.generate(num_slices, /*seed=*/42);
 
-    // 3. Open a session on 18 events: far more than fit at once.
+    // 3. 18 events: far more than fit at once.
     const std::vector<sim::Role> roles = {
         sim::Role::LlcMiss,      sim::Role::L2Miss,
         sim::Role::L1DMiss,      sim::Role::L1DAccess,
@@ -51,11 +52,8 @@ main()
     for (sim::Role r : roles)
         events.push_back(uarch.idForRole(r));
 
-    core::BayesPerfSession session(uarch);
-    session.open(events);
-
     // 4. Measure: sampling run + Bayesian inference.
-    core::BayesPerfRun run = session.measure(truth);
+    const core::BayesPerfRun run = core::measure(uarch, truth, events);
     std::printf("schedule: %zu configurations, %zu chain breaks\n",
                 run.schedule.configs.size(), run.schedule.chainBreaks);
 
@@ -71,7 +69,7 @@ main()
     poll_cfg.seed = 991;
     sim::PerfSession poll_session(uarch, poll_cfg);
     const sim::PerfResult polled =
-        poll_session.runPolling(truth, session.monitored());
+        poll_session.runPolling(truth, run.raw.monitored);
 
     baselines::LinuxEstimator linux_est;
     TablePrinter table({"event", "Linux err %", "BayesPerf err %"});

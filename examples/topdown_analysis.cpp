@@ -39,9 +39,7 @@ main()
         if (!def.fixed)
             events.push_back(def.id);
 
-    core::BayesPerfSession session(uarch);
-    session.open(events);
-    core::BayesPerfRun run = session.measure(truth);
+    const core::BayesPerfRun run = core::measure(uarch, truth, events);
     std::printf("multiplexing %zu events over %zu counters "
                 "(%zu configurations)\n\n",
                 events.size(), uarch.numProgrammableCounters(),

@@ -28,19 +28,19 @@ main()
     const std::size_t slices = 96;
     const auto truth = generator.generate(slices, 11);
 
-    core::BayesPerfSession session(uarch);
-    session.open({uarch.idForRole(sim::Role::DramBytes),
-                  uarch.idForRole(sim::Role::DmaBytes),
-                  uarch.idForRole(sim::Role::LlcMiss),
-                  uarch.idForRole(sim::Role::StallMem),
-                  uarch.idForRole(sim::Role::L2Miss),
-                  uarch.idForRole(sim::Role::DramReads),
-                  uarch.idForRole(sim::Role::DramWrites),
-                  uarch.idForRole(sim::Role::OffcoreReads),
-                  uarch.idForRole(sim::Role::OffcoreWrites),
-                  uarch.idForRole(sim::Role::PcieReadBytes),
-                  uarch.idForRole(sim::Role::PcieWriteBytes)});
-    auto run = session.measure(truth);
+    const auto run = core::measure(
+        uarch, truth,
+        {uarch.idForRole(sim::Role::DramBytes),
+         uarch.idForRole(sim::Role::DmaBytes),
+         uarch.idForRole(sim::Role::LlcMiss),
+         uarch.idForRole(sim::Role::StallMem),
+         uarch.idForRole(sim::Role::L2Miss),
+         uarch.idForRole(sim::Role::DramReads),
+         uarch.idForRole(sim::Role::DramWrites),
+         uarch.idForRole(sim::Role::OffcoreReads),
+         uarch.idForRole(sim::Role::OffcoreWrites),
+         uarch.idForRole(sim::Role::PcieReadBytes),
+         uarch.idForRole(sim::Role::PcieWriteBytes)});
 
     const sim::EventId dram = uarch.idForRole(sim::Role::DramBytes);
     const auto mean = run.estimate(dram);

@@ -98,6 +98,9 @@ struct WindowExecution
     double transferSeconds = 0.0;
     /** End-to-end modeled window latency: queue wait + service. */
     double modeledSeconds = 0.0;
+    /** Measured wall time of the host EP run (engine-side, like
+     * span: the engine stamps it after execute()). */
+    double hostSeconds = 0.0;
     /** 1-based position of this window in its engine's run order —
      * the stable per-session window id (WindowUpdate.windowId).
      * 0 only for executions that never went through runWindow. */

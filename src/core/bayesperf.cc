@@ -7,12 +7,6 @@
 namespace bperf {
 namespace core {
 
-BayesPerfSession::BayesPerfSession(const sim::MicroarchDescriptor &uarch,
-                                   BayesPerfConfig config)
-    : uarch_(uarch), config_(config)
-{
-}
-
 std::vector<sim::EventId>
 resolveMonitoredSet(const sim::MicroarchDescriptor &uarch,
                     const std::vector<sim::EventId> &events)
@@ -34,29 +28,19 @@ resolveMonitoredSet(const sim::MicroarchDescriptor &uarch,
     return monitored;
 }
 
-void
-BayesPerfSession::open(const std::vector<sim::EventId> &events)
-{
-    monitored_ = resolveMonitoredSet(uarch_, events);
-}
-
 BayesPerfRun
-BayesPerfSession::measure(const sim::TruthTrace &truth)
+measure(const sim::MicroarchDescriptor &uarch, const sim::TruthTrace &truth,
+        const std::vector<sim::EventId> &events,
+        const BayesPerfConfig &config)
 {
-    bp_assert(isOpen(), "open() must be called before measure()");
+    const std::vector<sim::EventId> monitored =
+        resolveMonitoredSet(uarch, events);
 
     BayesPerfRun run;
-
-    SchedulerConfig sched_cfg = config_.scheduler;
-    sched_cfg.reserveOverlapSlot = config_.useOverlapSchedule;
-    OverlapScheduler scheduler(uarch_, sched_cfg);
-    run.schedule = scheduler.build(monitored_);
-
-    sim::PerfSession session(uarch_, config_.perf);
-    run.raw = session.run(truth, monitored_, run.schedule.configs);
-
-    InferenceEngine engine(uarch_, config_.inference);
-    run.posterior = engine.infer(run.raw);
+    run.schedule = OverlapScheduler(uarch, config.scheduler).build(monitored);
+    sim::PerfSession session(uarch, config.perf);
+    run.raw = session.run(truth, monitored, run.schedule.configs);
+    run.posterior = infer(uarch, run.raw, config.inference);
     return run;
 }
 

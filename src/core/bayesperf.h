@@ -1,12 +1,14 @@
 /**
  * @file
- * BayesPerf public session API.
+ * BayesPerf batch measurement API.
  *
- * Mirrors the perf_event_open workflow the paper's shim exposes
- * (section 5): a monitoring application opens the events of interest,
- * the session schedules them (overlap-aware by default), drives the
- * measurement, and serves full posterior distributions — mean plus
- * uncertainty — for every event at every time slice.
+ * measure() runs the whole paper pipeline over one trace: the
+ * requested events are resolved to a monitored set, scheduled
+ * (overlap-aware by default), measured under multiplexing, and
+ * inferred into full posterior distributions — mean plus uncertainty
+ * — for every event at every time slice.  The perf_event_open-style
+ * live interface (section 5) is the monitoring service in
+ * src/service/.
  */
 
 #ifndef BPERF_CORE_BAYESPERF_H
@@ -22,22 +24,18 @@
 namespace bperf {
 namespace core {
 
-/** Top-level configuration of a BayesPerf session. */
+/** Top-level configuration of a BayesPerf measurement run. */
 struct BayesPerfConfig
 {
     sim::PerfSessionConfig perf;
     InferenceConfig inference;
+    /** scheduler.reserveOverlapSlot = false falls back to Linux
+     * round-robin packing — the scheduling ablation. */
     SchedulerConfig scheduler;
-
-    /**
-     * Use the overlap-aware schedule (the paper's design).  Disabled,
-     * the session falls back to Linux round-robin packing — the
-     * scheduling ablation.
-     */
-    bool useOverlapSchedule = true;
 };
 
-/** Everything a measurement run produces. */
+/** Everything a measurement run produces (raw.monitored is the
+ * resolved monitored set). */
 struct BayesPerfRun
 {
     sim::PerfResult raw;
@@ -61,43 +59,21 @@ struct BayesPerfRun
  * Resolve a requested event set to the session's monitored list:
  * fixed counters first (always on, perf_event_open semantics), then
  * the requested events deduplicated in order.  Dies if any event
- * cannot be scheduled on this PMU at all.  Shared by the batch
- * session API and the monitoring service.
+ * cannot be scheduled on this PMU at all.  Shared by measure() and
+ * the monitoring service.
  */
 std::vector<sim::EventId>
 resolveMonitoredSet(const sim::MicroarchDescriptor &uarch,
                     const std::vector<sim::EventId> &events);
 
 /**
- * A BayesPerf monitoring session.
+ * Measure `truth` with `events` (plus the fixed counters, see
+ * resolveMonitoredSet) and infer their posteriors.
  */
-class BayesPerfSession
-{
-  public:
-    explicit BayesPerfSession(const sim::MicroarchDescriptor &uarch,
-                              BayesPerfConfig config = {});
-
-    /**
-     * Register the events to monitor (perf_event_open equivalent).
-     * Fixed events are always monitored and added automatically.
-     * Dies if any event cannot be scheduled on this PMU at all.
-     */
-    void open(const std::vector<sim::EventId> &events);
-
-    bool isOpen() const { return !monitored_.empty(); }
-    const std::vector<sim::EventId> &monitored() const { return monitored_; }
-
-    /** Run the measurement + inference pipeline over a trace. */
-    BayesPerfRun measure(const sim::TruthTrace &truth);
-
-    const sim::MicroarchDescriptor &uarch() const { return uarch_; }
-    const BayesPerfConfig &config() const { return config_; }
-
-  private:
-    const sim::MicroarchDescriptor &uarch_;
-    BayesPerfConfig config_;
-    std::vector<sim::EventId> monitored_;
-};
+BayesPerfRun measure(const sim::MicroarchDescriptor &uarch,
+                     const sim::TruthTrace &truth,
+                     const std::vector<sim::EventId> &events,
+                     const BayesPerfConfig &config = {});
 
 } // namespace core
 } // namespace bperf

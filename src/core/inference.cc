@@ -115,14 +115,6 @@ WindowedInference::finish()
     return ran;
 }
 
-PosteriorPoint
-WindowedInference::latest(std::size_t event_index) const
-{
-    bp_assert(event_index < events_.size(), "event index out of range");
-    bp_assert(coveredEnd_ > seriesBase_, "no slice inferred yet");
-    return series_[event_index][coveredEnd_ - 1 - seriesBase_];
-}
-
 bool
 WindowedInference::latestPosteriors(std::vector<PosteriorPoint> &out) const
 {
@@ -302,7 +294,6 @@ WindowedInference::runWindow(std::size_t w_len)
     const double window_seconds =
         std::chrono::duration<double>(t_end - t_start).count();
     inferSeconds_ += window_seconds;
-    pendingWindowSeconds_.push_back(window_seconds);
 
     // Hand the completed window to the execution backend.  The
     // posterior above is final either way; the backend only decides
@@ -330,6 +321,7 @@ WindowedInference::runWindow(std::size_t w_len)
         exec.modeledSeconds = window_seconds;
     }
     exec.windowOrdinal = windowsRun_;
+    exec.hostSeconds = window_seconds;
     if (telemetry::enabled()) {
         exec.span.traceId = telemetry::nextTraceId();
         exec.span.ingestNanos = recIngestNanos_;
@@ -362,14 +354,6 @@ WindowedInference::runWindow(std::size_t w_len)
                               static_cast<std::ptrdiff_t>(
                                   config_.retainSlices));
     }
-}
-
-std::vector<double>
-WindowedInference::takeWindowSeconds()
-{
-    std::vector<double> out = std::move(pendingWindowSeconds_);
-    pendingWindowSeconds_.clear();
-    return out;
 }
 
 std::vector<WindowExecution>
@@ -409,14 +393,9 @@ WindowedInference::takeResult()
     return result;
 }
 
-InferenceEngine::InferenceEngine(const sim::MicroarchDescriptor &uarch,
-                                 InferenceConfig config)
-    : uarch_(uarch), config_(config)
-{
-}
-
 InferenceResult
-InferenceEngine::infer(const sim::PerfResult &measurements) const
+infer(const sim::MicroarchDescriptor &uarch,
+      const sim::PerfResult &measurements, const InferenceConfig &config)
 {
     const auto t_start = std::chrono::steady_clock::now();
 
@@ -424,7 +403,7 @@ InferenceEngine::infer(const sim::PerfResult &measurements) const
     bp_assert(!events.empty(), "nothing to infer");
     const std::size_t num_slices = measurements.traces.front().slices.size();
 
-    WindowedInference streaming(uarch_, events, config_,
+    WindowedInference streaming(uarch, events, config,
                                 measurements.schedule.size());
     SliceMeasurements slice(events.size());
     for (std::size_t t = 0; t < num_slices; ++t) {

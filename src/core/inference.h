@@ -8,14 +8,12 @@
  * prior — the compositional chaining of inference across time slices
  * that the paper describes.
  *
- * Two entry points share one window runner:
- *   - WindowedInference consumes slices incrementally (push/finish)
- *     and only ever buffers the last window's worth of measurements —
- *     the streaming form the monitoring service (src/service/) runs on
- *     live sessions;
- *   - InferenceEngine::infer replays a complete measurement run
- *     through the same streaming path, so batch and streaming
- *     posteriors are identical by construction.
+ * WindowedInference is the one window runner: it consumes slices
+ * incrementally (push/finish) and only ever buffers the last window's
+ * worth of measurements — the streaming form the monitoring service
+ * (src/service/) runs on live sessions.  infer() replays a complete
+ * measurement run through it, so batch and streaming posteriors are
+ * identical by construction.
  */
 
 #ifndef BPERF_CORE_INFERENCE_H
@@ -192,7 +190,6 @@ class WindowedInference
     std::size_t finish();
 
     const std::vector<sim::EventId> &events() const { return events_; }
-    const InferenceConfig &config() const { return config_; }
 
     /** Window length k in slices (resolved from the config). */
     std::size_t windowSlices() const { return k_; }
@@ -204,7 +201,6 @@ class WindowedInference
      * Posterior series indexing stays engine-local.
      */
     void setSliceOrigin(std::size_t origin) { sliceOrigin_ = origin; }
-    std::size_t sliceOrigin() const { return sliceOrigin_; }
 
     /**
      * Earliest absolute slice a window completed now may be released
@@ -252,9 +248,6 @@ class WindowedInference
         return series_;
     }
 
-    /** Most recent posterior of events()[event_index]. */
-    PosteriorPoint latest(std::size_t event_index) const;
-
     /**
      * Posterior summary at the most recent inferred slice: resizes
      * `out` to events().size() and fills it with each event's latest
@@ -291,12 +284,9 @@ class WindowedInference
     /** Cumulative wall time spent inside window EP runs. */
     double inferSeconds() const { return inferSeconds_; }
 
-    /** Wall time of each window run since the last call (latency
-     * sampling hook for the service's statistics). */
-    std::vector<double> takeWindowSeconds();
-
-    /** Modeled backend execution of each window run since the last
-     * call (the service's modeled-latency statistics hook). */
+    /** Backend execution (modeled and host wall time) of each window
+     * run since the last call (the service's latency statistics
+     * hook). */
     std::vector<WindowExecution> takeWindowExecutions();
 
     /** Assemble the run's result (moves the retained posterior
@@ -358,7 +348,6 @@ class WindowedInference
     std::size_t epBlockFlushes_ = 0;
     std::size_t epSkippedUpdates_ = 0;
     double inferSeconds_ = 0.0;
-    std::vector<double> pendingWindowSeconds_;
 
     /** Per-window backend executions: the full run (for takeResult)
      * and the tail not yet taken by takeWindowExecutions(). */
@@ -367,24 +356,13 @@ class WindowedInference
 };
 
 /**
- * Runs BayesPerf inference over a complete measurement run by
- * replaying it through the streaming engine.
+ * Infer posteriors for every monitored event at every slice of a
+ * complete measurement run, replaying it through WindowedInference.
+ * The result's wallSeconds is the whole replay's wall time.
  */
-class InferenceEngine
-{
-  public:
-    InferenceEngine(const sim::MicroarchDescriptor &uarch,
-                    InferenceConfig config = {});
-
-    /** Infer posteriors for every monitored event at every slice. */
-    InferenceResult infer(const sim::PerfResult &measurements) const;
-
-    const InferenceConfig &config() const { return config_; }
-
-  private:
-    const sim::MicroarchDescriptor &uarch_;
-    InferenceConfig config_;
-};
+InferenceResult infer(const sim::MicroarchDescriptor &uarch,
+                      const sim::PerfResult &measurements,
+                      const InferenceConfig &config = {});
 
 } // namespace core
 } // namespace bperf

@@ -126,15 +126,12 @@ Session::finishStream()
 void
 Session::harvestWindows()
 {
-    const std::vector<double> window_seconds =
-        inference_.takeWindowSeconds();
     const std::vector<core::WindowExecution> executions =
         inference_.takeWindowExecutions();
     {
         std::lock_guard<std::mutex> lock(statsMutex_);
-        for (double seconds : window_seconds)
-            stats_.windowSeconds.push(seconds);
         for (const auto &exec : executions) {
+            stats_.windowSeconds.push(exec.hostSeconds);
             stats_.modeledWindowSeconds.push(exec.modeledSeconds);
             stats_.backendQueueSeconds.push(exec.queueWaitSeconds);
         }
@@ -153,7 +150,7 @@ Session::harvestWindows()
     // finish() tail can run two) share the final snapshot.
     WindowUpdate update;
     update.sessionId = id_;
-    update.events = inference_.events();
+    update.events = inference_.engine().events();
     update.posterior.reserve(update.events.size());
     {
         std::lock_guard<std::mutex> lock(publishMutex_);
@@ -213,7 +210,7 @@ Session::latest(sim::EventId event) const
     std::lock_guard<std::mutex> lock(publishMutex_);
     if (!latestValid_)
         return std::nullopt;
-    const auto &events = inference_.events();
+    const auto &events = inference_.engine().events();
     for (std::size_t i = 0; i < events.size(); ++i) {
         if (events[i] == event)
             return latest_[i];

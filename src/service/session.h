@@ -119,7 +119,7 @@ class Session
     const std::string &tenant() const { return tenant_; }
     const std::vector<sim::EventId> &events() const
     {
-        return inference_.events();
+        return inference_.engine().events();
     }
 
     /**

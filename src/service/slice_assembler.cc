@@ -32,7 +32,7 @@ recordsRejectedCounter()
 SliceAssembler::SliceAssembler(std::vector<sim::EventId> events,
                                bool align_to_first_record)
     : events_(std::move(events)), current_(events_.size()),
-      alignToFirstRecord_(align_to_first_record)
+      alignToFirst_(align_to_first_record)
 {
     bp_assert(!events_.empty(), "assembler needs a monitored event set");
     sim::EventId max_id = 0;
@@ -76,8 +76,13 @@ SliceAssembler::feed(const sim::PerfRecord &rec,
                            !std::isfinite(rec.timeEnabled) ||
                            !std::isfinite(rec.timeRunning) ||
                            rec.timeEnabled < 0.0 || rec.timeRunning < 0.0;
+    // The first record of an aligned stream moves the front to itself.
+    const bool aligning = !started_ && alignToFirst_;
+    const bool too_far =
+        !aligning && rec.slice > frontSlice_ &&
+        rec.slice - frontSlice_ > kMaxSliceGap;
     if (malformed || idx == SIZE_MAX || rec.slice < frontSlice_ ||
-        (open_ && rec.slice < curSlice_)) {
+        (open_ && rec.slice < curSlice_) || too_far) {
         ++rejected_;
         recordsRejectedCounter().add();
         return 0;
@@ -85,7 +90,7 @@ SliceAssembler::feed(const sim::PerfRecord &rec,
 
     if (!started_) {
         started_ = true;
-        if (alignToFirstRecord_) {
+        if (aligning) {
             // The stream begins where the producer does: no
             // retroactive gap slices before the attach point.
             origin_ = rec.slice;

@@ -25,6 +25,16 @@ namespace bperf {
 namespace service {
 
 /**
+ * Furthest a record may land ahead of the assembly front, in slices.
+ * Every skipped slice is emitted as an unobserved row inside one
+ * feed() call, so an unbounded jump (PerfRecord::slice is 32-bit) lets
+ * a single record stall its worker and exhaust memory.  Producers here
+ * skip at most a few slices; one whose slice clock jumps further than
+ * this must close its session and open a new one.
+ */
+inline constexpr std::uint32_t kMaxSliceGap = 4096;
+
+/**
  * Streams PerfRecords into per-slice measurement rows aligned with a
  * fixed monitored-event list.  Not thread-safe; owned by whichever
  * worker currently drains the session.
@@ -52,16 +62,15 @@ class SliceAssembler
      * number of slices appended.
      *
      * Records for unknown events, for slices older than the current
-     * assembly front, or with a non-finite value or time or a
-     * negative time are counted as rejected and dropped.
+     * assembly front or more than kMaxSliceGap ahead of it, or with a
+     * non-finite value or time or a negative time are counted as
+     * rejected and dropped.
      */
     std::size_t feed(const sim::PerfRecord &rec,
                      std::vector<core::SliceMeasurements> &out);
 
     /** Finalize the slice under assembly, if any. */
     std::size_t flush(std::vector<core::SliceMeasurements> &out);
-
-    const std::vector<sim::EventId> &events() const { return events_; }
 
     /** Next slice index the assembler would emit. */
     std::uint32_t frontSlice() const { return frontSlice_; }
@@ -86,7 +95,7 @@ class SliceAssembler
 
     core::SliceMeasurements current_;
     bool open_ = false;          // current_ holds records
-    bool alignToFirstRecord_ = false;
+    bool alignToFirst_ = false;
     bool started_ = false;       // a record has been accepted
     std::uint32_t curSlice_ = 0; // slice under assembly (when open_)
     std::uint32_t frontSlice_ = 0;

@@ -1,6 +1,5 @@
 #include "service/streaming_inference.h"
 
-#include "common/logging.h"
 #include "telemetry/telemetry.h"
 
 namespace bperf {
@@ -9,7 +8,7 @@ namespace service {
 StreamingInference::StreamingInference(const sim::MicroarchDescriptor &uarch,
                                        std::vector<sim::EventId> events,
                                        StreamingConfig config)
-    : assembler_(events, config.alignToFirstRecord),
+    : assembler_(events, /*align_to_first_record=*/true),
       engine_(uarch, std::move(events), config.inference,
               config.schedulePeriod)
 {
@@ -53,17 +52,6 @@ StreamingInference::finish()
         windows += engine_.push(slice);
     windows += engine_.finish();
     return windows;
-}
-
-core::PosteriorPoint
-StreamingInference::latest(sim::EventId event) const
-{
-    const auto &events = engine_.events();
-    for (std::size_t i = 0; i < events.size(); ++i) {
-        if (events[i] == event)
-            return engine_.latest(i);
-    }
-    bp_panic("event not monitored by this session: id " << event);
 }
 
 } // namespace service

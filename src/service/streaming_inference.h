@@ -8,7 +8,7 @@
  * window carried forward as the next window's prior.  This is the
  * inference unit the monitoring service runs per session; it processes
  * a live stream with O(window) measurement memory instead of requiring
- * the whole trace like the batch InferenceEngine.
+ * the whole trace like the batch core::infer().
  */
 
 #ifndef BPERF_SERVICE_STREAMING_INFERENCE_H
@@ -35,18 +35,15 @@ struct StreamingConfig
      * InferenceConfig::windowSlices).
      */
     std::size_t schedulePeriod = 0;
-
-    /**
-     * Start the stream at the first record's slice instead of slice 0
-     * (see SliceAssembler).  A session opened mid-run then begins at
-     * its attach time — no retroactive unobserved slices, and backend
-     * window releases keep the producer's absolute slice clock.
-     */
-    bool alignToFirstRecord = true;
 };
 
 /**
  * Streaming windowed inference over a PerfRecord stream.
+ *
+ * The stream starts at the first record's slice, not slice 0 (see
+ * SliceAssembler): a session opened mid-run begins at its attach time
+ * — no retroactive unobserved slices — and backend window releases
+ * keep the producer's absolute slice clock.
  *
  * Not thread-safe: the service hands each instance to at most one
  * worker at a time.
@@ -70,24 +67,10 @@ class StreamingInference
      */
     std::size_t finish();
 
-    const std::vector<sim::EventId> &events() const
-    {
-        return engine_.events();
-    }
-
-    /** Posterior of `event` at the most recent inferred slice. */
-    core::PosteriorPoint latest(sim::EventId event) const;
-
     /** Slice-level streaming engine (posterior series, counters). */
     const core::WindowedInference &engine() const { return engine_; }
 
-    /** Per-window EP wall times since the last call (stats hook). */
-    std::vector<double> takeWindowSeconds()
-    {
-        return engine_.takeWindowSeconds();
-    }
-
-    /** Per-window modeled backend executions since the last call. */
+    /** Per-window backend executions since the last call. */
     std::vector<core::WindowExecution> takeWindowExecutions()
     {
         return engine_.takeWindowExecutions();

@@ -194,13 +194,13 @@ TEST(AccelBackend, PosteriorsIdenticalToHostPath)
     core::InferenceConfig host_cfg;
     host_cfg.windowSlices = 6;
     const core::InferenceResult host =
-        core::InferenceEngine(uarch(), host_cfg).infer(run);
+        core::infer(uarch(), run, host_cfg);
 
     accel::AccelBackend backend(accel::AccelBackendConfig{});
     core::InferenceConfig accel_cfg = host_cfg;
     accel_cfg.backend = &backend;
     const core::InferenceResult accel =
-        core::InferenceEngine(uarch(), accel_cfg).infer(run);
+        core::infer(uarch(), run, accel_cfg);
 
     EXPECT_EQ(host.backendName, "host");
     EXPECT_EQ(accel.backendName, "accel-capi");

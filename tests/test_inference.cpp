@@ -97,30 +97,28 @@ struct EndToEnd
         BayesPerfConfig cfg;
         cfg.perf.noise.scale = noise_scale;
         cfg.perf.seed = seed * 3 + 1;
-        BayesPerfSession session(uarch, cfg);
-        session.open({uarch.idForRole(Role::LlcMiss),
-                      uarch.idForRole(Role::L2Miss),
-                      uarch.idForRole(Role::StallMem),
-                      uarch.idForRole(Role::StallFrontend),
-                      uarch.idForRole(Role::StallBranch),
-                      uarch.idForRole(Role::StallTotal),
-                      uarch.idForRole(Role::ActiveCycles),
-                      uarch.idForRole(Role::BranchMisses),
-                      uarch.idForRole(Role::DramBytes),
-                      uarch.idForRole(Role::DmaBytes)});
-        monitored = session.monitored();
-        return session.measure(truth);
+        return measure(uarch, truth,
+                       {uarch.idForRole(Role::LlcMiss),
+                        uarch.idForRole(Role::L2Miss),
+                        uarch.idForRole(Role::StallMem),
+                        uarch.idForRole(Role::StallFrontend),
+                        uarch.idForRole(Role::StallBranch),
+                        uarch.idForRole(Role::StallTotal),
+                        uarch.idForRole(Role::ActiveCycles),
+                        uarch.idForRole(Role::BranchMisses),
+                        uarch.idForRole(Role::DramBytes),
+                        uarch.idForRole(Role::DmaBytes)},
+                       cfg);
     }
 
     sim::TruthTrace truth{1, 2, 1};
-    std::vector<EventId> monitored;
 };
 
 TEST(Inference, PosteriorIsFiniteWithPositiveUncertainty)
 {
     EndToEnd fixture;
     const auto run = fixture.run(1.0);
-    for (EventId e : fixture.monitored) {
+    for (EventId e : run.raw.monitored) {
         const auto mean = run.estimate(e);
         const auto sd = run.uncertainty(e);
         for (std::size_t t = 0; t < mean.size(); ++t) {
@@ -154,7 +152,7 @@ TEST(Inference, BeatsLinuxScalingOnNoisyRun)
 
     double err_bp = 0.0, err_linux = 0.0;
     std::size_t n = 0;
-    for (EventId e : fixture.monitored) {
+    for (EventId e : run.raw.monitored) {
         if (fixture.uarch.event(e).fixed)
             continue;
         const auto bp = run.estimate(e);
@@ -220,13 +218,30 @@ TEST(Inference, DeterministicAcrossRuns)
     EXPECT_EQ(ra.estimate(llc), rb.estimate(llc));
 }
 
-TEST(Inference, SessionRequiresOpen)
+TEST(Inference, MeasureHonoursSchedulerConfig)
 {
+    // measure() builds its schedule from config.scheduler as given:
+    // the round-robin ablation (no reserved overlap slot) must come
+    // out exactly as the scheduler builds it standalone.
     const auto uarch = sim::makeX86Skylake();
-    BayesPerfSession session(uarch, {});
     sim::GroundTruthGenerator gen(uarch, wl::makeHibench("Sort"));
-    const auto truth = gen.generate(4, 1);
-    EXPECT_DEATH((void)session.measure(truth), "open");
+    const auto truth = gen.generate(8, 1);
+    std::vector<EventId> events;
+    for (const auto &def : uarch.events())
+        if (!def.fixed)
+            events.push_back(def.id);
+
+    BayesPerfConfig cfg;
+    cfg.scheduler.reserveOverlapSlot = false;
+    const BayesPerfRun run = measure(uarch, truth, events, cfg);
+
+    const ScheduleResult expected =
+        OverlapScheduler(uarch, {.reserveOverlapSlot = false})
+            .build(run.raw.monitored);
+    EXPECT_EQ(run.schedule.configs, expected.configs);
+    const ScheduleResult overlap =
+        OverlapScheduler(uarch).build(run.raw.monitored);
+    EXPECT_NE(run.schedule.configs, overlap.configs);
 }
 
 } // namespace

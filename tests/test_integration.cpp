@@ -54,9 +54,7 @@ TEST_P(PipelineTest, BayesPerfBeatsLinuxOnDerivedMetrics)
 
     core::BayesPerfConfig cfg;
     cfg.perf.seed = 11;
-    core::BayesPerfSession session(u, cfg);
-    session.open(events);
-    auto run = session.measure(truth);
+    const auto run = core::measure(u, truth, events, cfg);
 
     // Schedule sanity.
     sim::Pmu pmu(u);
@@ -66,7 +64,7 @@ TEST_P(PipelineTest, BayesPerfBeatsLinuxOnDerivedMetrics)
     sim::PerfSessionConfig poll_cfg;
     poll_cfg.seed = 17;
     sim::PerfSession poll(u, poll_cfg);
-    const auto polled = poll.runPolling(truth, session.monitored());
+    const auto polled = poll.runPolling(truth, run.raw.monitored);
     auto ref = [&](sim::EventId e) {
         return polled.traceFor(e).estimateSeries();
     };
@@ -95,13 +93,12 @@ TEST_P(PipelineTest, PosteriorUncertaintyIsInformative)
     const sim::GroundTruthGenerator gen(u, workload);
     const auto truth = gen.generate(32, 77);
 
-    core::BayesPerfSession session(u, {});
-    session.open({u.idForRole(sim::Role::LlcMiss),
-                  u.idForRole(sim::Role::DramBytes),
-                  u.idForRole(sim::Role::DmaBytes),
-                  u.idForRole(sim::Role::L2Miss),
-                  u.idForRole(sim::Role::StallMem)});
-    auto run = session.measure(truth);
+    const auto run = core::measure(u, truth,
+                                   {u.idForRole(sim::Role::LlcMiss),
+                                    u.idForRole(sim::Role::DramBytes),
+                                    u.idForRole(sim::Role::DmaBytes),
+                                    u.idForRole(sim::Role::L2Miss),
+                                    u.idForRole(sim::Role::StallMem)});
 
     // Truth should fall within 4 posterior stddevs most of the time
     // (EP mean-field intervals are known to be somewhat narrow).

@@ -54,6 +54,16 @@ measuredRun(const std::vector<sim::EventId> &monitored,
     return session.runRoundRobin(truth, monitored);
 }
 
+/** Slice t of a measurement run, as a streaming-engine input row. */
+core::SliceMeasurements
+sliceAt(const sim::PerfResult &run, std::size_t t)
+{
+    core::SliceMeasurements slice(run.traces.size());
+    for (std::size_t i = 0; i < slice.size(); ++i)
+        slice[i] = run.traces[i].slices[t];
+    return slice;
+}
+
 core::InferenceConfig
 testInference()
 {
@@ -126,17 +136,13 @@ TEST(WindowedInference, StreamingMatchesBatchSliceLevel)
     const auto monitored = monitoredSet();
     const auto run = measuredRun(monitored, 24, 101);
 
-    core::InferenceEngine engine(uarch(), testInference());
-    const core::InferenceResult batch = engine.infer(run);
+    const core::InferenceResult batch =
+        core::infer(uarch(), run, testInference());
 
     core::WindowedInference streaming(uarch(), monitored, testInference(),
                                       run.schedule.size());
-    core::SliceMeasurements slice(monitored.size());
-    for (std::size_t t = 0; t < 24; ++t) {
-        for (std::size_t i = 0; i < monitored.size(); ++i)
-            slice[i] = run.traces[i].slices[t];
-        streaming.push(slice);
-    }
+    for (std::size_t t = 0; t < 24; ++t)
+        streaming.push(sliceAt(run, t));
     streaming.finish();
 
     EXPECT_EQ(streaming.windowsRun(), batch.windowsRun);
@@ -158,13 +164,10 @@ TEST(WindowedInference, SteadyStateWindowsReuseEpWorkspace)
 
     core::WindowedInference streaming(uarch(), monitored, testInference(),
                                       run.schedule.size());
-    core::SliceMeasurements slice(monitored.size());
     std::size_t warm_allocs = 0;
     bool warmed = false;
     for (std::size_t t = 0; t < 48; ++t) {
-        for (std::size_t i = 0; i < monitored.size(); ++i)
-            slice[i] = run.traces[i].slices[t];
-        streaming.push(slice);
+        streaming.push(sliceAt(run, t));
         if (!warmed && streaming.windowsRun() >= 2) {
             warmed = true;
             warm_allocs = streaming.epWorkspaceAllocations();
@@ -182,8 +185,8 @@ TEST(WindowedInference, SteadyStateWindowsReuseEpWorkspace)
 
     // Batch replays the same stream through the same engine type, so
     // its result reports the identical reuse counter.
-    core::InferenceEngine engine(uarch(), testInference());
-    const core::InferenceResult batch = engine.infer(run);
+    const core::InferenceResult batch =
+        core::infer(uarch(), run, testInference());
     EXPECT_EQ(batch.epWorkspaceAllocations, warm_allocs);
 }
 
@@ -192,19 +195,15 @@ TEST(WindowedInference, BoundedRetentionKeepsMatchingTail)
     const auto monitored = monitoredSet();
     const auto run = measuredRun(monitored, 24, 303);
 
-    core::InferenceEngine engine(uarch(), testInference());
-    const core::InferenceResult batch = engine.infer(run);
+    const core::InferenceResult batch =
+        core::infer(uarch(), run, testInference());
 
     core::InferenceConfig bounded = testInference();
     bounded.retainSlices = 8;
     core::WindowedInference streaming(uarch(), monitored, bounded,
                                       run.schedule.size());
-    core::SliceMeasurements slice(monitored.size());
-    for (std::size_t t = 0; t < 24; ++t) {
-        for (std::size_t i = 0; i < monitored.size(); ++i)
-            slice[i] = run.traces[i].slices[t];
-        streaming.push(slice);
-    }
+    for (std::size_t t = 0; t < 24; ++t)
+        streaming.push(sliceAt(run, t));
     streaming.finish();
 
     // Only the tail is retained, and retention must not perturb the
@@ -212,14 +211,15 @@ TEST(WindowedInference, BoundedRetentionKeepsMatchingTail)
     const std::size_t base = streaming.firstRetainedSlice();
     EXPECT_GE(base, 24u - 8 - streaming.windowSlices());
     EXPECT_LE(24u - base, 8u + streaming.windowSlices());
+    std::vector<core::PosteriorPoint> latest;
+    ASSERT_TRUE(streaming.latestPosteriors(latest));
     for (std::size_t i = 0; i < monitored.size(); ++i) {
         ASSERT_EQ(streaming.series()[i].size(), 24u - base);
         for (std::size_t t = base; t < 24; ++t) {
             EXPECT_DOUBLE_EQ(streaming.series()[i][t - base].mean,
                              batch.series[i][t].mean);
         }
-        EXPECT_DOUBLE_EQ(streaming.latest(i).mean,
-                         batch.series[i][23].mean);
+        EXPECT_DOUBLE_EQ(latest[i].mean, batch.series[i][23].mean);
     }
 
     core::InferenceResult result = streaming.takeResult();
@@ -242,8 +242,8 @@ TEST(MonitorService, StreamingMatchesBatchThroughDaemon)
     const auto report = daemon.close(id);
     ASSERT_TRUE(report.has_value());
 
-    core::InferenceEngine engine(uarch(), testInference());
-    const core::InferenceResult batch = engine.infer(run);
+    const core::InferenceResult batch =
+        core::infer(uarch(), run, testInference());
 
     // The record stream carries the full measurement (every PMI
     // window read), so the streamed posterior must match whole-trace

@@ -1,10 +1,11 @@
 /** @file Edge-case tests for the per-session record-to-slice
  * reassembly (SliceAssembler): boundary records, duplicate and
  * missing group members, gaps, the partial final slice, and hostile
- * (non-finite or negative) records rejected at ingest. */
+ * (non-finite, negative or far-future) records rejected at ingest. */
 
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <cmath>
 #include <functional>
 #include <limits>
@@ -254,6 +255,41 @@ TEST(SliceAssemblerHostile, NegativeTimeRunningRejected)
     expectHostileRecordRejected([](sim::PerfRecord &r) {
         r.timeRunning = -r.timeRunning - 0.25;
     });
+}
+
+TEST(SliceAssemblerHostile, FarFutureSliceRejected)
+{
+    // Every slice a record skips is emitted as a row in one call, so a
+    // record at UINT32_MAX would ask for ~4.3e9 rows: it is rejected
+    // at once, like any other hostile record.
+    expectHostileRecordRejected([](sim::PerfRecord &r) {
+        r.slice = std::numeric_limits<std::uint32_t>::max();
+    });
+
+    const sim::MicroarchDescriptor uarch = sim::makeX86Skylake();
+    const std::vector<sim::EventId> events = uarch.fixedEvents();
+    StreamingConfig cfg;
+    cfg.inference.windowSlices = 4;
+    StreamingInference inference(uarch, events, cfg);
+    inference.consume(rec(0, events[0], 1e6));
+
+    const auto t0 = std::chrono::steady_clock::now();
+    EXPECT_EQ(inference.consume(rec(std::numeric_limits<std::uint32_t>::max(),
+                                    events[0], 1e6)),
+              0u);
+    EXPECT_LT(std::chrono::steady_clock::now() - t0, std::chrono::seconds(1));
+    EXPECT_EQ(inference.recordsRejected(), 1u);
+    EXPECT_EQ(inference.slicesAssembled(), 0u);
+
+    // One slice past the bound is rejected; a jump of exactly
+    // kMaxSliceGap is still a gap: slice 0 finalizes and every skipped
+    // slice emits an unobserved row.
+    inference.consume(rec(kMaxSliceGap + 1, events[0], 1e6));
+    EXPECT_EQ(inference.recordsRejected(), 2u);
+    inference.consume(rec(kMaxSliceGap, events[0], 1e6));
+    EXPECT_EQ(inference.recordsRejected(), 2u);
+    EXPECT_EQ(inference.recordsConsumed(), 2u);
+    EXPECT_EQ(inference.slicesAssembled(), std::size_t{kMaxSliceGap});
 }
 
 } // namespace
