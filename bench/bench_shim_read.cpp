@@ -11,7 +11,10 @@
  *      timed reads of a 13-event slot, uncontended and against a
  *      writer hammering the same slot at full speed: per-read
  *      p50/p95/p99 (the acceptance bar is sub-microsecond p99) plus
- *      the seqlock retry rate.
+ *      the seqlock retry rate.  Reads by session id are timed over
+ *      the fleet shape (16 sessions x 13 events in a 64-slot table):
+ *      the first read of each id (a scan) and later ones (the slot
+ *      hint), plus the slot attempts a later read makes.
  *
  *   2. Staleness.  Every read reports its age (reader clock minus
  *      the writer's publish stamp).  Against a continuously
@@ -160,6 +163,69 @@ timeReads(const shim::SnapshotReader &reader, std::size_t reads)
     return result;
 }
 
+/** Reads by session id over a fleet-shaped table. */
+struct BySessionResult
+{
+    NsSummary cold; ///< first read(id) of each id by a fresh reader
+    NsSummary warm; ///< later read(id) calls
+    std::size_t coldReads = 0;
+    std::size_t warmReads = 0;
+    /** Slot attempts (retry-probe calls) per warm read(id). */
+    double probesPerWarmRead = 0.0;
+};
+
+/**
+ * Time read(id) for sessions 1..`sessions`, published in slots
+ * 0..sessions-1 of `region`.  Every round builds a fresh reader, whose
+ * first read of each id is cold; `warm_reads` later reads cycle over
+ * the ids through one warmed reader.
+ */
+BySessionResult
+timeReadsBySession(const shim::SnapshotRegion &region, std::uint64_t sessions,
+                   std::size_t cold_rounds, std::size_t warm_reads)
+{
+    BySessionResult result;
+    std::vector<double> cold, warm;
+    cold.reserve(cold_rounds * sessions);
+    warm.reserve(warm_reads);
+    shim::PosteriorSnapshot snap;
+    const auto timedRead = [&](const shim::SnapshotReader &reader,
+                               std::uint64_t id, std::vector<double> &out) {
+        const std::uint64_t t0 = nowNanos();
+        const shim::ReadStatus status = reader.read(id, snap);
+        const std::uint64_t t1 = nowNanos();
+        if (status == shim::ReadStatus::Ok)
+            out.push_back(static_cast<double>(t1 - t0));
+    };
+    for (std::size_t round = 0; round < cold_rounds; ++round) {
+        const shim::SnapshotReader reader(region);
+        for (std::uint64_t id = 1; id <= sessions; ++id)
+            timedRead(reader, id, cold);
+    }
+
+    shim::SnapshotReader reader(region);
+    for (std::uint64_t id = 1; id <= sessions; ++id)
+        reader.read(id, snap);
+    for (std::size_t i = 0; i < warm_reads; ++i)
+        timedRead(reader, i % sessions + 1, warm);
+
+    // Count slot attempts separately: the probe is not free, so it
+    // stays out of the timed loop.
+    std::size_t probes = 0;
+    reader.setRetryProbe([&](std::size_t) { ++probes; });
+    const std::size_t counted = 100 * sessions;
+    for (std::size_t i = 0; i < counted; ++i)
+        reader.read(i % sessions + 1, snap);
+    result.probesPerWarmRead =
+        static_cast<double>(probes) / static_cast<double>(counted);
+
+    result.coldReads = cold.size();
+    result.warmReads = warm.size();
+    result.cold = summarizeNs(cold);
+    result.warm = summarizeNs(warm);
+    return result;
+}
+
 /** Lag summaries of the service comparison run. */
 struct ServiceCompareResult
 {
@@ -249,6 +315,17 @@ main()
         timeReads(raw_reader, kDirectReads);
     stop.store(true);
     writer.join();
+
+    // By session id, fleet shape: 16 sessions x 13 events in the
+    // default 64-slot table, in the first slots (the publisher hands
+    // out the lowest free slot).
+    constexpr std::uint64_t kFleetSessions = 16;
+    shim::SnapshotRegion fleet_region{shim::SnapshotRegionConfig{}};
+    for (std::uint64_t id = 1; id <= kFleetSessions; ++id)
+        fleet_region.write(id - 1, id, 0, 0, exec, events, posterior,
+                           nowNanos());
+    const BySessionResult by_session = timeReadsBySession(
+        fleet_region, kFleetSessions, quick ? 200 : 2000, kDirectReads);
 
     const auto overhead_pct = [](double with, double without) {
         return without > 0.0 ? 100.0 * (with - without) / without : 0.0;
@@ -407,6 +484,13 @@ main()
                               uncontended_raw.latency.p99)
               << "%; corrupt reads: " << corrupt_reads
               << (corrupt_reads == 0 ? "" : " (PROTOCOL BUG)") << "\n";
+    std::cout << "read(id), " << kFleetSessions << " sessions in "
+              << fleet_region.slots() << " slots: first read p50 "
+              << by_session.cold.p50 << " ns p99 " << by_session.cold.p99
+              << " ns; warm p50 " << by_session.warm.p50 << " ns p99 "
+              << by_session.warm.p99 << " ns, "
+              << by_session.probesPerWarmRead
+              << " slot attempts per warm read\n";
     std::cout << "publish cost: " << publish_ns << " ns/publish; "
               << "service replay " << 1e3 * service_result.offSeconds
               << " ms (shim off) vs "
@@ -459,6 +543,16 @@ main()
                overhead_pct(uncontended.latency.p99,
                             uncontended_raw.latency.p99))
         .field("corruptReads", corrupt_reads)
+        .endObject();
+
+    // Reads by session id over the fleet-shaped table: the first read
+    // of an id scans, later ones try the hinted slot first.
+    json.beginObject("bySession")
+        .field("sessions", kFleetSessions)
+        .field("slots", fleet_region.slots());
+    writeNsSummary(json, "coldRead", by_session.cold, by_session.coldReads);
+    writeNsSummary(json, "warmRead", by_session.warm, by_session.warmReads);
+    json.field("probesPerWarmRead", by_session.probesPerWarmRead)
         .endObject();
 
     json.beginObject("writer")

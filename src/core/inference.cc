@@ -334,19 +334,24 @@ WindowedInference::runWindow(std::size_t w_len)
             registry.counter("ep.windows");
         static telemetry::Counter &ep_sweeps =
             registry.counter("ep.sweeps");
+        // Windows whose EP stopped at maxSweeps with a site still
+        // moving by more than the tolerance.
+        static telemetry::Counter &ep_unconverged =
+            registry.counter("ep.unconverged_windows");
         static telemetry::Counter &ep_workspace_allocs =
             registry.counter("ep.workspace_allocations");
         static telemetry::Histogram &ep_window_ns =
             registry.histogram("ep.window_ns");
         ep_windows.add();
         ep_sweeps.add(ep_result.sweeps);
+        if (!ep_result.converged)
+            ep_unconverged.add();
         ep_workspace_allocs.add(epWorkspace_.totalAllocations() -
                                 ws_allocs_before);
         ep_window_ns.record(
             static_cast<std::uint64_t>(window_seconds * 1e9));
     }
     executions_.push_back(exec);
-    pendingExecutions_.push_back(exec);
     if (config_.retainSlices > 0 &&
         executions_.size() > config_.retainSlices) {
         executions_.erase(executions_.begin(),
@@ -354,14 +359,8 @@ WindowedInference::runWindow(std::size_t w_len)
                               static_cast<std::ptrdiff_t>(
                                   config_.retainSlices));
     }
-}
-
-std::vector<WindowExecution>
-WindowedInference::takeWindowExecutions()
-{
-    std::vector<WindowExecution> out = std::move(pendingExecutions_);
-    pendingExecutions_.clear();
-    return out;
+    if (windowHook_)
+        windowHook_(exec);
 }
 
 InferenceResult

@@ -20,6 +20,7 @@
 #define BPERF_CORE_INFERENCE_H
 
 #include <deque>
+#include <functional>
 #include <optional>
 #include <string>
 #include <vector>
@@ -284,10 +285,18 @@ class WindowedInference
     /** Cumulative wall time spent inside window EP runs. */
     double inferSeconds() const { return inferSeconds_; }
 
-    /** Backend execution (modeled and host wall time) of each window
-     * run since the last call (the service's latency statistics
-     * hook). */
-    std::vector<WindowExecution> takeWindowExecutions();
+    /** Called on the running thread at the end of every window with
+     * its backend execution (modeled and host wall time). */
+    using WindowHook = std::function<void(const WindowExecution &)>;
+
+    /**
+     * Install the per-window hook (the service's statistics and
+     * WindowUpdate publishing).  While it runs, latestPosteriors()
+     * holds that window's own posterior summary; the next window
+     * overwrites it, so a caller that runs several windows in one
+     * push() or finish() must read it here.
+     */
+    void setWindowHook(WindowHook hook) { windowHook_ = std::move(hook); }
 
     /** Assemble the run's result (moves the retained posterior
      * series).  Requires finish(); the engine is spent afterwards. */
@@ -349,10 +358,9 @@ class WindowedInference
     std::size_t epSkippedUpdates_ = 0;
     double inferSeconds_ = 0.0;
 
-    /** Per-window backend executions: the full run (for takeResult)
-     * and the tail not yet taken by takeWindowExecutions(). */
+    /** Per-window backend executions of the run (for takeResult). */
     std::vector<WindowExecution> executions_;
-    std::vector<WindowExecution> pendingExecutions_;
+    WindowHook windowHook_;
 };
 
 /**

@@ -67,6 +67,8 @@ Session::Session(SessionId id, const sim::MicroarchDescriptor &uarch,
       inference_(uarch, std::move(events), config.streaming),
       windowSink_(std::move(window_sink))
 {
+    inference_.setWindowHook(
+        [this](const core::WindowExecution &exec) { reportWindow(exec); });
 }
 
 bool
@@ -93,13 +95,9 @@ Session::drain()
             if (now > rec->ingestNanos)
                 ringWaitHistogram().record(now - rec->ingestNanos);
         }
-        // Publish per completed window, not per drain pass: a long
-        // backlog drains in one pass, and pollers should see
-        // posteriors as soon as the first window lands.
-        if (inference_.consume(*rec) > 0) {
-            publishPosteriors();
-            harvestWindows();
-        }
+        // Windows completed by the record report themselves through
+        // reportWindow() as they run.
+        inference_.consume(*rec);
         ++drained;
     }
     publishStats(/*drain_pass=*/true);
@@ -109,68 +107,58 @@ Session::drain()
 void
 Session::finishStream()
 {
-    if (inference_.finish() > 0) {
-        publishPosteriors();
-        harvestWindows();
-    }
+    inference_.finish();
     publishStats(/*drain_pass=*/false);
 }
 
 /**
- * Consume the engine's per-window latency samples: fold them into the
- * published statistics and emit one WindowUpdate per window to the
- * sink (subscriptions, admission in-flight accounting).  Runs on the
- * thread that ran the windows (worker or closer), so the engine reads
- * need no lock.
+ * Per-window hook, run by the engine on the thread that ran the window
+ * (worker or closer), so the engine reads need no lock.  Publishes the
+ * window's posterior, folds its latency samples into the statistics
+ * and emits its WindowUpdate to the sink (subscriptions, admission
+ * in-flight accounting).  One record can complete many windows (a
+ * slice gap up to kMaxSliceGap), and each later window overwrites the
+ * engine's latest posterior, so every window is reported as it runs,
+ * not once per drain: pollers see posteriors as soon as the first
+ * window lands and every update carries its own window's posterior.
  */
 void
-Session::harvestWindows()
+Session::reportWindow(const core::WindowExecution &exec)
 {
-    const std::vector<core::WindowExecution> executions =
-        inference_.takeWindowExecutions();
     {
         std::lock_guard<std::mutex> lock(statsMutex_);
-        for (const auto &exec : executions) {
-            stats_.windowSeconds.push(exec.hostSeconds);
-            stats_.modeledWindowSeconds.push(exec.modeledSeconds);
-            stats_.backendQueueSeconds.push(exec.queueWaitSeconds);
-        }
+        stats_.windowSeconds.push(exec.hostSeconds);
+        stats_.modeledWindowSeconds.push(exec.modeledSeconds);
+        stats_.backendQueueSeconds.push(exec.queueWaitSeconds);
     }
-    if (executions.empty())
-        return;
+    WindowUpdate update;
+    {
+        std::lock_guard<std::mutex> lock(publishMutex_);
+        if (inference_.engine().latestPosteriors(latest_))
+            latestValid_ = true;
+        if (windowSink_ != nullptr)
+            update.posterior = latest_;
+    }
     if (windowSink_ == nullptr) {
-        windowsReported_ += executions.size();
+        ++windowsReported_;
         return;
     }
 
-    // The latest posterior is a fine per-window summary here: windows
-    // complete one at a time in slice order, so all but the last
-    // update of a multi-window harvest (rare: a drain crossing
-    // several window boundaries in one record is impossible, but a
-    // finish() tail can run two) share the final snapshot.
-    WindowUpdate update;
     update.sessionId = id_;
     update.events = inference_.engine().events();
-    update.posterior.reserve(update.events.size());
-    {
-        std::lock_guard<std::mutex> lock(publishMutex_);
-        update.posterior = latest_;
-    }
-    for (const auto &exec : executions) {
-        update.windowIndex = windowsReported_++;
-        update.windowId = exec.windowOrdinal;
-        update.endSlice = exec.endSlice;
-        update.execution = exec;
-        if (telemetry::enabled()) {
-            update.execution.span.publishNanos = telemetry::nowNanos();
-            windowSink_(update);
-            const std::uint64_t after = telemetry::nowNanos();
-            if (after > update.execution.span.publishNanos)
-                publishFanoutHistogram().record(
-                    after - update.execution.span.publishNanos);
-        } else {
-            windowSink_(update);
-        }
+    update.windowIndex = windowsReported_++;
+    update.windowId = exec.windowOrdinal;
+    update.endSlice = exec.endSlice;
+    update.execution = exec;
+    if (telemetry::enabled()) {
+        update.execution.span.publishNanos = telemetry::nowNanos();
+        windowSink_(update);
+        const std::uint64_t after = telemetry::nowNanos();
+        if (after > update.execution.span.publishNanos)
+            publishFanoutHistogram().record(
+                after - update.execution.span.publishNanos);
+    } else {
+        windowSink_(update);
     }
 }
 
@@ -182,7 +170,7 @@ Session::harvestWindows()
 void
 Session::publishStats(bool drain_pass)
 {
-    // Per-window latency samples are folded in by harvestWindows();
+    // Per-window latency samples are folded in by reportWindow();
     // this publishes the engine's cumulative counters.
     const auto &engine = inference_.engine();
     std::lock_guard<std::mutex> lock(statsMutex_);
@@ -193,15 +181,6 @@ Session::publishStats(bool drain_pass)
     stats_.windowsRun = engine.windowsRun();
     stats_.epSweeps = engine.epSweepsTotal();
     stats_.inferSeconds = engine.inferSeconds();
-}
-
-void
-Session::publishPosteriors()
-{
-    const auto &engine = inference_.engine();
-    std::lock_guard<std::mutex> lock(publishMutex_);
-    if (engine.latestPosteriors(latest_))
-        latestValid_ = true;
 }
 
 std::optional<core::PosteriorPoint>

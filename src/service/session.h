@@ -158,10 +158,10 @@ class Session
     std::atomic<SessionState> state{SessionState::Idle};
 
   private:
-    void publishPosteriors();
     void publishStats(bool drain_pass);
-    /** Per-window stats + subscription updates after windows ran. */
-    void harvestWindows();
+    /** Per-window posterior publish, stats and subscription update
+     * (the engine's window hook). */
+    void reportWindow(const core::WindowExecution &exec);
 
     const SessionId id_;
     const std::string tenant_;

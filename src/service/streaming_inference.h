@@ -70,10 +70,10 @@ class StreamingInference
     /** Slice-level streaming engine (posterior series, counters). */
     const core::WindowedInference &engine() const { return engine_; }
 
-    /** Per-window backend executions since the last call. */
-    std::vector<core::WindowExecution> takeWindowExecutions()
+    /** Per-window hook (see core::WindowedInference::setWindowHook). */
+    void setWindowHook(core::WindowedInference::WindowHook hook)
     {
-        return engine_.takeWindowExecutions();
+        engine_.setWindowHook(std::move(hook));
     }
 
     std::uint64_t recordsConsumed() const

@@ -54,9 +54,12 @@ SnapshotReader::initState()
     state_ = std::make_unique<State>();
     state_->quarantineSeq =
         std::make_unique<std::atomic<std::uint64_t>[]>(slots_);
-    for (std::size_t i = 0; i < slots_; ++i)
+    state_->slotHint = std::make_unique<std::atomic<std::size_t>[]>(slots_);
+    for (std::size_t i = 0; i < slots_; ++i) {
         state_->quarantineSeq[i].store(kNotQuarantined,
                                        std::memory_order_relaxed);
+        state_->slotHint[i].store(kNoHint, std::memory_order_relaxed);
+    }
 }
 
 namespace {
@@ -622,26 +625,42 @@ SnapshotReader::read(std::uint64_t session_id, PosteriorSnapshot &out,
     bool torn = false;
     bool writer_dead = false;
     bool corrupt = false;
-    ReadStatus result = ReadStatus::NotFound;
+    const auto noteDegraded = [&](ReadStatus status) {
+        torn = torn || status == ReadStatus::Torn;
+        writer_dead = writer_dead || status == ReadStatus::WriterDead;
+        corrupt = corrupt || status == ReadStatus::Corrupt;
+    };
+
+    // Fast path: the slot this id was last found in.  It is read with
+    // every check of readSlot() and returned only when it still holds
+    // this session; any other verdict counts as that slot's probe and
+    // the scan below covers the rest of the table.
+    std::atomic<std::size_t> &hint = state_->slotHint[session_id % slots_];
+    const std::size_t hinted = hint.load(std::memory_order_relaxed);
+    if (hinted < slots_) {
+        PosteriorSnapshot snap;
+        const ReadStatus status = readSlotImpl(hinted, snap, max_retries);
+        if (status == ReadStatus::Ok && snap.sessionId == session_id) {
+            out = std::move(snap);
+            countRead(ReadStatus::Ok);
+            return ReadStatus::Ok;
+        }
+        noteDegraded(status);
+    }
+
     for (std::size_t slot = 0; slot < slots_; ++slot) {
+        if (slot == hinted)
+            continue;
         // Cheap probe first: only the target slot's full payload
         // (and its counters vector) is copied, so the scan stays a
         // bounded run of word reads per non-matching slot.
         std::uint64_t id = 0;
         const ReadStatus peek = peekSlot(slot, id, max_retries);
-        if (peek == ReadStatus::Torn) {
-            torn = true;
+        if (peek != ReadStatus::Ok) {
+            noteDegraded(peek);
             continue;
         }
-        if (peek == ReadStatus::WriterDead) {
-            writer_dead = true;
-            continue;
-        }
-        if (peek == ReadStatus::Corrupt) {
-            corrupt = true;
-            continue;
-        }
-        if (peek != ReadStatus::Ok || id != session_id)
+        if (id != session_id)
             continue;
         // Copy into a local first: `out` must not be clobbered with
         // another session's snapshot if the slot was reallocated
@@ -649,21 +668,11 @@ SnapshotReader::read(std::uint64_t session_id, PosteriorSnapshot &out,
         // snapshot across a NotFound poll).
         PosteriorSnapshot snap;
         const ReadStatus status = readSlotImpl(slot, snap, max_retries);
-        if (status == ReadStatus::Torn) {
-            torn = true;
-            continue;
-        }
-        if (status == ReadStatus::WriterDead) {
-            writer_dead = true;
-            continue;
-        }
-        if (status == ReadStatus::Corrupt) {
-            corrupt = true;
-            continue;
-        }
+        noteDegraded(status);
         // The slot may have been invalidated or handed to another
         // session between probe and copy; keep scanning if so.
         if (status == ReadStatus::Ok && snap.sessionId == session_id) {
+            hint.store(slot, std::memory_order_relaxed);
             out = std::move(snap);
             countRead(ReadStatus::Ok);
             return ReadStatus::Ok;
@@ -676,6 +685,7 @@ SnapshotReader::read(std::uint64_t session_id, PosteriorSnapshot &out,
     // payload is provably bad, not merely contended), Torn over
     // NotFound (the consumer should retry instead of concluding the
     // session is gone).
+    ReadStatus result = ReadStatus::NotFound;
     if (writer_dead)
         result = ReadStatus::WriterDead;
     else if (corrupt)

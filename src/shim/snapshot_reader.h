@@ -15,11 +15,14 @@
  * against its checksummed geometry so truncated segments are refused
  * rather than faulted on, and slots that prove corrupt or
  * writer-dead are quarantined — skipped-and-counted on scans until
- * their sequence moves again (ReaderStats).
+ * their sequence moves again (ReaderStats).  A read by session id
+ * first tries the slot the id was last found in, so a poll of a
+ * session that has not moved costs one verified slot read, not a
+ * scan of the table.
  *
  * Thread contract: all read methods are safe from any thread,
- * concurrently with the writer; the quarantine table and stats
- * counters are atomics.  setVerifyChecksums()/setRetryProbe()
+ * concurrently with the writer; the quarantine table, slot hints and
+ * stats counters are atomics.  setVerifyChecksums()/setRetryProbe()
  * configure the reader and must not race reads.
  */
 
@@ -233,11 +236,12 @@ class SnapshotReader
     std::vector<std::uint64_t> sessions(ScanHealth *health = nullptr) const;
 
     /**
-     * Copy the latest snapshot of `session_id` into `out`.  Scans the
-     * slot table (slot count is small by design).  Wait-free except
-     * for seqlock retries, which are bounded by `max_retries`, and a
-     * slot left odd when they run out, which is waited on for at most
-     * kWriterDeadNanos.
+     * Copy the latest snapshot of `session_id` into `out`.  Tries the
+     * slot this reader last found the id in first (one verified slot
+     * read when the session has not moved), then scans the rest of
+     * the slot table.  Wait-free except for seqlock retries, which
+     * are bounded by `max_retries`, and a slot left odd when they run
+     * out, which is waited on for at most kWriterDeadNanos.
      */
     ReadStatus read(std::uint64_t session_id, PosteriorSnapshot &out,
                     std::size_t max_retries = kDefaultMaxRetries) const;
@@ -315,6 +319,10 @@ class SnapshotReader
          * condemned at (parity encodes the verdict: odd = WriterDead,
          * even = Corrupt), or kNotQuarantined. */
         std::unique_ptr<std::atomic<std::uint64_t>[]> quarantineSeq;
+        /** read() slot hints, indexed by session id % slots_: the
+         * slot the last id with that residue was found in, or
+         * kNoHint.  Only a guess — every hinted read is verified. */
+        std::unique_ptr<std::atomic<std::size_t>[]> slotHint;
         std::atomic<std::uint64_t> okReads{0};
         std::atomic<std::uint64_t> notFoundReads{0};
         std::atomic<std::uint64_t> tornReads{0};
@@ -323,6 +331,7 @@ class SnapshotReader
         std::atomic<std::uint64_t> quarantineSkips{0};
     };
     static constexpr std::uint64_t kNotQuarantined = ~0ull;
+    static constexpr std::size_t kNoHint = ~std::size_t{0};
     std::unique_ptr<State> state_;
 };
 

@@ -183,7 +183,8 @@ TEST(JsonWriter, AccelServiceBenchSchemaIsValid)
 /** The exact schema bench_shim_read.cpp writes (layout v2: the
  * `checksum` section carries the verify-off read latencies, the
  * relative verification overhead, and the corruptReads protocol
- * assertion — zero in any healthy run). */
+ * assertion — zero in any healthy run; `bySession` times first and
+ * warm reads by session id and counts a warm read's slot attempts). */
 TEST(JsonWriter, ShimReadBenchSchemaIsValid)
 {
     bench::JsonWriter json;
@@ -222,6 +223,12 @@ TEST(JsonWriter, ShimReadBenchSchemaIsValid)
         .field("verifyOverheadPctP99", 6.1)
         .field("corruptReads", 0)
         .endObject();
+    json.beginObject("bySession")
+        .field("sessions", 16)
+        .field("slots", 64);
+    ns_summary("coldRead");
+    ns_summary("warmRead");
+    json.field("probesPerWarmRead", 1.0).endObject();
     json.beginObject("writer")
         .field("publishNs", 210.0)
         .field("serviceOffSeconds", 1.2)
@@ -240,7 +247,8 @@ TEST(JsonWriter, ShimReadBenchSchemaIsValid)
          {"uncontended", "hammered", "checksum", "uncontendedNoVerify",
           "hammeredNoVerify", "verifyOverheadPctP50",
           "verifyOverheadPctP99", "corruptReads", "readLatency",
-          "staleness", "publishNs", "posteriorsBitIdentical"})
+          "staleness", "bySession", "coldRead", "warmRead",
+          "probesPerWarmRead", "publishNs", "posteriorsBitIdentical"})
         EXPECT_NE(doc.find('"' + std::string(key) + "\": "),
                   std::string::npos)
             << key;

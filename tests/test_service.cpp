@@ -379,6 +379,68 @@ TEST(MonitorService, BackpressureDropAccounting)
     EXPECT_EQ(stats.recordsOffered, 20u);
 }
 
+TEST(MonitorService, EachWindowUpdateCarriesItsOwnWindowsPosterior)
+{
+    // Regression: a record up to kMaxSliceGap slices ahead completes
+    // every window over the gap in one consume(), and every
+    // WindowUpdate of that drain used to carry the final window's
+    // posterior.  Each update must carry the posterior its own window
+    // produced: the one a slice-by-slice replay of the same assembled
+    // slices shows right after that window runs.
+    const std::vector<sim::EventId> events = monitoredSet();
+    const sim::PerfResult run = measuredRun(events, 12, 31);
+    std::vector<std::vector<sim::PerfRecord>> batches;
+    for (std::size_t t = 0; t < 12; ++t)
+        batches.push_back(sliceRecords(run, t));
+    batches.push_back({rec(60, events[0], 1e6)});
+
+    SessionConfig cfg;
+    cfg.streaming.inference = testInference();
+    std::vector<WindowUpdate> updates;
+    Session session(1, uarch(), events, cfg, "t",
+                    [&](const WindowUpdate &u) { updates.push_back(u); });
+    std::size_t before_jump = 0;
+    for (const auto &batch : batches) {
+        before_jump = updates.size();
+        for (const auto &r : batch)
+            ASSERT_TRUE(session.offer(r));
+        session.drain();
+    }
+    // The jump finalizes slices 11..59 in one record, which completes
+    // the 17 windows ending at slices 11, 14, ..., 59.
+    ASSERT_EQ(updates.size() - before_jump, 17u);
+
+    SliceAssembler assembler(events, /*align_to_first_record=*/true);
+    core::WindowedInference reference(uarch(), events, testInference());
+    std::vector<std::vector<core::PosteriorPoint>> expected;
+    std::vector<core::SliceMeasurements> slices;
+    for (const auto &batch : batches)
+        for (const auto &r : batch)
+            assembler.feed(r, slices);
+    for (const auto &slice : slices) {
+        if (reference.push(slice) == 0)
+            continue;
+        expected.emplace_back();
+        ASSERT_TRUE(reference.latestPosteriors(expected.back()));
+    }
+
+    ASSERT_EQ(updates.size(), expected.size());
+    for (std::size_t w = 0; w < updates.size(); ++w) {
+        ASSERT_EQ(updates[w].posterior.size(), events.size());
+        for (std::size_t i = 0; i < events.size(); ++i) {
+            EXPECT_EQ(updates[w].posterior[i].mean, expected[w][i].mean)
+                << "window " << w << " event " << i;
+            EXPECT_EQ(updates[w].posterior[i].stddev,
+                      expected[w][i].stddev)
+                << "window " << w << " event " << i;
+        }
+    }
+    // The gap windows differ from one another, so a shared posterior
+    // cannot pass the comparison above.
+    EXPECT_NE(updates[before_jump].posterior[0].stddev,
+              updates.back().posterior[0].stddev);
+}
+
 /**
  * One full daemon run of the deterministic end-to-end pipeline:
  * seeded producer threads -> per-session SPSC rings -> worker pool ->

@@ -1,10 +1,11 @@
 /** @file Tests for the shared-memory posterior snapshot shim:
  * seqlock write/read round trips (bit-identical doubles), torn-write
  * retry under a hammering writer, readers attaching before the first
- * publish, slot invalidation on session close, the service publisher
- * mirroring the subscription stream bit for bit, and cross-process
- * reads through a forked child attached to a named POSIX shm
- * segment.  The in-process tests run under TSan in CI; the fork
+ * publish, slot invalidation on session close, the by-id slot hint
+ * (one attempt when warm, never trusted stale, same verdicts as a
+ * scan), the service publisher mirroring the subscription stream bit
+ * for bit, and cross-process reads through a forked child attached to
+ * a named POSIX shm segment.  The in-process tests run under TSan in CI; the fork
  * tests are skipped there (fork + TSan runtime do not mix). */
 
 #include <gtest/gtest.h>
@@ -393,6 +394,223 @@ TEST(SnapshotReader, SessionsReportsScanHealth)
     EXPECT_EQ(health.writerDead, 1u);
     EXPECT_EQ(health.corrupt, 1u);
     EXPECT_EQ(health.degraded(), 2u);
+}
+
+/** Publish session `id` into `slot` with a payload derived from
+ * (id, window) so a read can check it belongs to both. */
+void
+publishSession(SnapshotRegion &region, std::size_t slot, std::uint64_t id,
+               std::uint64_t window)
+{
+    const std::vector<sim::EventId> events = {1, 2, 3};
+    std::vector<core::PosteriorPoint> posterior(events.size());
+    for (std::size_t i = 0; i < events.size(); ++i)
+        posterior[i] = {static_cast<double>(id * 1000 + window),
+                        static_cast<double>(i)};
+    region.write(slot, id, window, window, sampleExecution(), events,
+                 posterior, /*publish_nanos=*/window + 1);
+}
+
+/** Whether `snap` is exactly what publishSession(_, _, id, _) wrote. */
+bool
+holdsSession(const PosteriorSnapshot &snap, std::uint64_t id)
+{
+    return snap.sessionId == id && snap.counters.size() == 3 &&
+           snap.counters[0].posterior.mean ==
+               static_cast<double>(id * 1000 + snap.windowIndex);
+}
+
+TEST(SnapshotReader, WarmReadByIdProbesOneSlot)
+{
+    // The fleet shape: 16 sessions in the first slots of a 64-slot
+    // table.  The first read of an id scans; every later read of it
+    // goes straight to the slot it was found in: one attempt.
+    SnapshotRegion region(SnapshotRegionConfig{64, 13});
+    for (std::uint64_t id = 1; id <= 16; ++id)
+        publishSession(region, id - 1, id, 0);
+
+    SnapshotReader reader(region);
+    std::size_t attempts = 0;
+    reader.setRetryProbe([&](std::size_t) { ++attempts; });
+    PosteriorSnapshot snap;
+    ASSERT_EQ(reader.read(16, snap), ReadStatus::Ok);
+    EXPECT_TRUE(holdsSession(snap, 16));
+    // 16 slot peeks, then the copy of the matching slot.
+    EXPECT_EQ(attempts, 17u);
+
+    for (int i = 0; i < 3; ++i) {
+        attempts = 0;
+        ASSERT_EQ(reader.read(16, snap), ReadStatus::Ok);
+        EXPECT_TRUE(holdsSession(snap, 16));
+        EXPECT_EQ(attempts, 1u);
+    }
+    // A republish in place keeps the hint good.
+    publishSession(region, 15, 16, 1);
+    attempts = 0;
+    ASSERT_EQ(reader.read(16, snap), ReadStatus::Ok);
+    EXPECT_EQ(snap.windowIndex, 1u);
+    EXPECT_EQ(attempts, 1u);
+    EXPECT_EQ(reader.stats().okReads, 5u);
+}
+
+TEST(SnapshotReader, StaleHintAfterSlotReuseIsNeverTrusted)
+{
+    // Session 7 closes and its slot goes to session 11, which shares
+    // 7's hint entry (7 = 11 mod 4): the hint now points at a slot
+    // holding another session, and must not be taken for 7's.
+    SnapshotRegion region(SnapshotRegionConfig{4, 4});
+    SnapshotReader reader(region);
+    publishSession(region, 2, 7, 0);
+    PosteriorSnapshot snap;
+    ASSERT_EQ(reader.read(7, snap), ReadStatus::Ok);
+    EXPECT_TRUE(holdsSession(snap, 7));
+
+    region.invalidate(2);
+    EXPECT_EQ(reader.read(7, snap), ReadStatus::NotFound);
+    publishSession(region, 2, 11, 0);
+    EXPECT_EQ(reader.read(7, snap), ReadStatus::NotFound);
+    // A NotFound read leaves the caller's last snapshot alone.
+    EXPECT_TRUE(holdsSession(snap, 7));
+    ASSERT_EQ(reader.read(11, snap), ReadStatus::Ok);
+    EXPECT_TRUE(holdsSession(snap, 11));
+
+    // 7 reopens in another slot: found by the scan, then hinted.
+    publishSession(region, 0, 7, 1);
+    ASSERT_EQ(reader.read(7, snap), ReadStatus::Ok);
+    EXPECT_TRUE(holdsSession(snap, 7));
+    EXPECT_EQ(snap.windowIndex, 1u);
+    std::size_t attempts = 0;
+    reader.setRetryProbe([&](std::size_t) { ++attempts; });
+    ASSERT_EQ(reader.read(7, snap), ReadStatus::Ok);
+    EXPECT_TRUE(holdsSession(snap, 7));
+    EXPECT_EQ(attempts, 1u);
+}
+
+TEST(SnapshotReader, CongruentIdsBothReadCorrectly)
+{
+    // 1 and 5 share a hint entry in a 4-slot table; alternating reads
+    // keep overwriting each other's hint and must still both be right.
+    SnapshotRegion region(SnapshotRegionConfig{4, 4});
+    publishSession(region, 0, 1, 3);
+    publishSession(region, 3, 5, 4);
+    SnapshotReader reader(region);
+    PosteriorSnapshot snap;
+    for (int i = 0; i < 8; ++i) {
+        ASSERT_EQ(reader.read(1, snap), ReadStatus::Ok);
+        EXPECT_TRUE(holdsSession(snap, 1));
+        EXPECT_EQ(snap.windowIndex, 3u);
+        ASSERT_EQ(reader.read(5, snap), ReadStatus::Ok);
+        EXPECT_TRUE(holdsSession(snap, 5));
+        EXPECT_EQ(snap.windowIndex, 4u);
+    }
+    EXPECT_EQ(reader.stats().okReads, 16u);
+}
+
+void
+expectSameReadCounts(const ReaderStats &a, const ReaderStats &b)
+{
+    EXPECT_EQ(a.okReads, b.okReads);
+    EXPECT_EQ(a.notFoundReads, b.notFoundReads);
+    EXPECT_EQ(a.tornReads, b.tornReads);
+    EXPECT_EQ(a.deadReads, b.deadReads);
+    EXPECT_EQ(a.corruptReads, b.corruptReads);
+    EXPECT_EQ(a.quarantineSkips, b.quarantineSkips);
+    EXPECT_EQ(a.quarantinedSlots, b.quarantinedSlots);
+}
+
+TEST(SnapshotReader, DegradedHintedSlotReadsLikeTheScan)
+{
+    // Two readers over one table: `hinted` found session 5 by id, so
+    // its next read goes to slot 2 first; `scanning` only ever read
+    // slot 2 directly and has no hint.  When slot 2 goes Corrupt and
+    // then WriterDead, both must return the same verdict and keep the
+    // same read accounting.
+    SnapshotRegion region(SnapshotRegionConfig{4, 4});
+    publishSession(region, 0, 6, 0);
+    publishSession(region, 2, 5, 0);
+    SnapshotReader hinted(region);
+    SnapshotReader scanning(region);
+    PosteriorSnapshot snap;
+    ASSERT_EQ(hinted.read(5, snap), ReadStatus::Ok);
+    ASSERT_EQ(scanning.readSlot(2, snap), ReadStatus::Ok);
+    expectSameReadCounts(hinted.stats(), scanning.stats());
+
+    auto *slot = slotAt(const_cast<std::byte *>(region.base()),
+                        region.layout(), 2);
+    slot->events()[1].stddevBits.fetch_xor(1ull << 40,
+                                          std::memory_order_relaxed);
+    for (int i = 0; i < 2; ++i) { // fresh verdict, then quarantined
+        EXPECT_EQ(hinted.read(5, snap), ReadStatus::Corrupt);
+        EXPECT_EQ(scanning.read(5, snap), ReadStatus::Corrupt);
+        expectSameReadCounts(hinted.stats(), scanning.stats());
+    }
+
+    // Writer dies mid-publish on the same slot.
+    slot->seq.fetch_add(1, std::memory_order_release);
+    for (int i = 0; i < 2; ++i) {
+        EXPECT_EQ(hinted.read(5, snap), ReadStatus::WriterDead);
+        EXPECT_EQ(scanning.read(5, snap), ReadStatus::WriterDead);
+        expectSameReadCounts(hinted.stats(), scanning.stats());
+    }
+    // Other sessions are unaffected.
+    ASSERT_EQ(hinted.read(6, snap), ReadStatus::Ok);
+    EXPECT_TRUE(holdsSession(snap, 6));
+}
+
+TEST(SnapshotReader, ConcurrentReadersShareOneReader)
+{
+    // Two threads poll four sessions through one reader while the
+    // writer republishes them and moves them between slots (close,
+    // reopen elsewhere), so the shared hint table is read, refreshed
+    // and left stale concurrently.  Every Ok read must hold exactly
+    // the requested session.  Runs under TSan in CI.
+    constexpr std::size_t kSlots = 8;
+    constexpr std::uint64_t kSessions = 4;
+    SnapshotRegion region(SnapshotRegionConfig{kSlots, 4});
+    SnapshotReader reader(region);
+    std::atomic<bool> stop{false};
+
+    std::thread writer([&] {
+        std::vector<std::size_t> slot_of(kSessions + 1, 0);
+        for (std::uint64_t w = 0; !stop.load(std::memory_order_relaxed);
+             ++w) {
+            const std::size_t shift = (w / 64) % 2 ? kSessions : 0;
+            for (std::uint64_t id = 1; id <= kSessions; ++id) {
+                const std::size_t slot = (id - 1) + shift;
+                if (w > 0 && slot_of[id] != slot)
+                    region.invalidate(slot_of[id]);
+                slot_of[id] = slot;
+                publishSession(region, slot, id, w);
+            }
+            std::this_thread::yield();
+        }
+    });
+
+    std::atomic<std::uint64_t> wrong{0};
+    std::atomic<std::uint64_t> ok{0};
+    const auto poll = [&] {
+        PosteriorSnapshot snap;
+        for (std::uint64_t i = 0; i < 20000; ++i) {
+            const std::uint64_t id = i % kSessions + 1;
+            if (reader.read(id, snap) != ReadStatus::Ok)
+                continue;
+            ok.fetch_add(1, std::memory_order_relaxed);
+            if (!holdsSession(snap, id))
+                wrong.fetch_add(1, std::memory_order_relaxed);
+        }
+    };
+    std::thread a(poll), b(poll);
+    a.join();
+    b.join();
+    stop.store(true);
+    writer.join();
+    EXPECT_EQ(wrong.load(), 0u);
+    EXPECT_GT(ok.load(), 0u);
+    const ReaderStats stats = reader.stats();
+    EXPECT_EQ(stats.deadReads, 0u);
+    EXPECT_EQ(stats.corruptReads, 0u);
+    EXPECT_EQ(stats.okReads + stats.notFoundReads + stats.tornReads,
+              40000u);
 }
 
 TEST(SnapshotReader, WriterHeartbeatTracksPublishes)

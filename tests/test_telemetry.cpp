@@ -2,8 +2,8 @@
  * and percentiles, sharded counters/histograms merged under
  * concurrent writers (run under TSan in CI), the enable flag
  * mid-stream, registry identity, window-span phase monotonicity
- * through the live service, Chrome trace export, and the log-level
- * mirror counters. */
+ * through the live service, the EP non-convergence counter, Chrome
+ * trace export, and the log-level mirror counters. */
 
 #include <gtest/gtest.h>
 
@@ -15,6 +15,7 @@
 #include <vector>
 
 #include "common/logging.h"
+#include "core/inference.h"
 #include "json_checker.h"
 #include "service/monitor_service.h"
 #include "service/record_stream.h"
@@ -342,6 +343,48 @@ TEST(WindowSpans, PhasesAreMonotoneThroughTheService)
          {"ingest-wait", "dispatch-wait", "ep-compute", "publish",
           "traceEvents", "displayTimeUnit"})
         EXPECT_NE(json.find(phase), std::string::npos) << phase;
+}
+
+TEST(EpCounters, UnconvergedWindowsAreCounted)
+{
+    // ep.unconverged_windows counts windows whose EP stopped at
+    // maxSweeps without meeting the tolerance.  A tolerance of 0 can
+    // never be met; an infinite one is met by the first sweep.
+    EnabledGuard guard;
+    setEnabled(true);
+    const sim::MicroarchDescriptor uarch = sim::makeX86Skylake();
+    const sim::PerfResult run =
+        measuredRun(uarch, monitoredSet(uarch), 18, 77);
+    MetricsRegistry &registry = MetricsRegistry::global();
+    struct Counts
+    {
+        std::uint64_t windows, sweeps, unconverged;
+    };
+    const auto inferWithTolerance = [&](double tolerance) {
+        core::InferenceConfig cfg;
+        cfg.windowSlices = 6;
+        cfg.ep.maxSweeps = 2;
+        cfg.ep.tolerance = tolerance;
+        const std::uint64_t sweeps = registry.counterValue("ep.sweeps");
+        const std::uint64_t unconverged =
+            registry.counterValue("ep.unconverged_windows");
+        const core::InferenceResult result = core::infer(uarch, run, cfg);
+        return Counts{result.windowsRun,
+                      registry.counterValue("ep.sweeps") - sweeps,
+                      registry.counterValue("ep.unconverged_windows") -
+                          unconverged};
+    };
+
+    const Counts never = inferWithTolerance(0.0);
+    EXPECT_EQ(never.windows, 5u);
+    EXPECT_EQ(never.sweeps, 2 * never.windows);
+    EXPECT_EQ(never.unconverged, never.windows);
+
+    const Counts first_sweep =
+        inferWithTolerance(std::numeric_limits<double>::infinity());
+    EXPECT_EQ(first_sweep.windows, 5u);
+    EXPECT_EQ(first_sweep.sweeps, first_sweep.windows);
+    EXPECT_EQ(first_sweep.unconverged, 0u);
 }
 
 TEST(TraceCollector, ExportsModeledBackendPhasesAndCountsDrops)
