@@ -10,16 +10,21 @@
  *     reference runs a single window (each one takes seconds).
  * Plus kernel micro-costs on the n = 78 chain (one quadrature pass,
  * one block-local rank-1 update, one chain pass, one dense
- * factorization) and the chain path's EP op counts per window, so the
- * µs numbers can be decomposed.
+ * factorization), on the n = 256 window (one block marginal over the
+ * block's site variables and over all of them, one block elimination,
+ * the mean site variables per block) and the chain path's EP op
+ * counts per window, so the µs numbers can be decomposed.
  *
  * Writes BENCH_ep_window.json into the working directory (the CI
  * bench smoke step uploads it).  BP_QUICK=1 shrinks repetitions.
  */
 
+#include <algorithm>
 #include <chrono>
+#include <cmath>
 #include <cstdio>
 #include <iostream>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -28,6 +33,7 @@
 #include "core/bayesperf.h"
 #include "core/ep.h"
 #include "core/inference.h"
+#include "core/model_builder.h"
 #include "core/quad_kernel.h"
 #include "sim/ground_truth.h"
 #include "sim/perf_session.h"
@@ -145,6 +151,97 @@ timeConfig(const sim::MicroarchDescriptor &uarch,
     return t;
 }
 
+/** Chain kernel costs on a real wide window graph (see main). */
+struct WideKernelCosts
+{
+    /** Mean distinct site variables per block (the kept set). */
+    double keptPerBlock = 0.0;
+    /** One block marginal over the kept set, averaged over blocks. */
+    double marginalSitesUs = 0.0;
+    /** One block marginal over every variable of the block. */
+    double marginalAllUs = 0.0;
+    /** One forward elimination (assemble + factor + Schur message). */
+    double eliminationUs = 0.0;
+};
+
+/**
+ * The first window of `run` as a WindowModel with one Student-t site
+ * per observed event and slice (default model, no level hints or
+ * normalizer), timed kernel by kernel on graph::ChainSolver.
+ */
+WideKernelCosts
+timeWideKernels(const sim::MicroarchDescriptor &uarch,
+                const sim::PerfResult &run, std::size_t k)
+{
+    core::WindowModel model(uarch, run.monitored, k, core::ModelConfig{});
+    for (std::size_t i = 0; i < run.monitored.size(); ++i) {
+        for (std::size_t t = 0; t < k; ++t) {
+            const sim::SliceSample &sample = run.traces[i].slices[t];
+            if (!sample.observed)
+                continue;
+            core::MeasurementModel m;
+            m.loc = sample.scaled();
+            m.scale = std::max(0.05 * std::abs(m.loc), 1.0);
+            model.addMeasurement(run.monitored[i], t, m);
+        }
+    }
+    const graph::FactorGraph &g = model.graph();
+    graph::ChainSolver chain;
+    chain.rebind(g);
+    const std::size_t blocks = chain.numBlocks();
+    std::vector<std::vector<std::size_t>> keep(blocks);
+    for (graph::FactorId fid : g.factorsOfKind(graph::FactorKind::StudentT)) {
+        const graph::VarId v = g.factor(fid).vars[0];
+        const std::size_t t = v / chain.blockSize();
+        keep[t].push_back(v - chain.blockBegin(t));
+    }
+    std::size_t kept = 0;
+    for (auto &set : keep) {
+        std::sort(set.begin(), set.end());
+        set.erase(std::unique(set.begin(), set.end()), set.end());
+        kept += set.size();
+    }
+    std::vector<std::size_t> all(chain.blockSize());
+    for (std::size_t i = 0; i < all.size(); ++i)
+        all[i] = i;
+
+    const std::vector<graph::Gaussian> sites(g.numVariables(),
+                                             graph::Gaussian::flat());
+    graph::GaussianJoint local;
+    const std::size_t iters = bench::quickMode() ? 20 : 200;
+    WideKernelCosts c;
+    c.keptPerBlock = static_cast<double>(kept) / static_cast<double>(blocks);
+    double sites_s = 0.0, all_s = 0.0, elim_s = 0.0;
+    std::size_t marginals = 0;
+    for (std::size_t it = 0; it < iters; ++it) {
+        chain.beginSweep(sites);
+        for (std::size_t t = 0; t < blocks; ++t) {
+            const std::span<const std::size_t> all_t(all.data(),
+                                                     chain.blockLength(t));
+            double t0 = now();
+            if (!keep[t].empty()) {
+                chain.blockMarginal(t, sites, keep[t], local);
+                ++marginals;
+            }
+            const double t1 = now();
+            chain.blockMarginal(t, sites, all_t, local);
+            const double t2 = now();
+            chain.passForward(t, sites);
+            const double t3 = now();
+            sites_s += t1 - t0;
+            all_s += t2 - t1;
+            if (t + 1 < blocks)
+                elim_s += t3 - t2;
+        }
+    }
+    c.marginalSitesUs =
+        1e6 * sites_s / static_cast<double>(marginals ? marginals : 1);
+    c.marginalAllUs = 1e6 * all_s / static_cast<double>(iters * blocks);
+    c.eliminationUs =
+        1e6 * elim_s / static_cast<double>(iters * (blocks - 1));
+    return c;
+}
+
 } // namespace
 
 int
@@ -242,7 +339,13 @@ main()
 
     const std::size_t r1_iters = bench::quickMode() ? 5000 : 50000;
     chain.beginSweep(sites);
-    chain.blockMarginal(0, sites, local);
+    const std::vector<std::size_t> all_vars = [&] {
+        std::vector<std::size_t> v(chain.blockLength(0));
+        for (std::size_t i = 0; i < v.size(); ++i)
+            v[i] = i;
+        return v;
+    }();
+    chain.blockMarginal(0, sites, all_vars, local);
     t0 = now();
     for (std::size_t i = 0; i < r1_iters; ++i) {
         // Alternate up/down so the block stays near its start state.
@@ -275,6 +378,18 @@ main()
               << "  dense n x n factorization:   " << solve_us << " us\n"
               << "  (sink " << sink + mean[0] << ")\n";
 
+    // ---------------------------------------- kernel micro-costs, n = 256
+    const WideKernelCosts wide = timeWideKernels(uarch, wide_run, kWideSlices);
+    std::cout << "\nKernel micro-costs at n=" << wide_n << " (blocks of "
+              << wide_events.size() << ", " << wide.keptPerBlock
+              << " site variables per block on average):\n"
+              << "  block marginal, site variables: " << wide.marginalSitesUs
+              << " us\n"
+              << "  block marginal, all variables:  " << wide.marginalAllUs
+              << " us\n"
+              << "  one block elimination:          " << wide.eliminationUs
+              << " us\n";
+
     // ------------------------------------------------------ JSON output
     bench::JsonWriter json;
     json.beginObject()
@@ -306,6 +421,10 @@ main()
         .field("rank1_update_us", rank1_us)
         .field("chain_pass_us", pass_us)
         .field("full_solve_us", solve_us)
+        .field("wide_kept_per_block", wide.keptPerBlock)
+        .field("wide_block_marginal_sites_us", wide.marginalSitesUs)
+        .field("wide_block_marginal_all_us", wide.marginalAllUs)
+        .field("wide_elimination_us", wide.eliminationUs)
         .endObject();
     if (!json.writeFile("BENCH_ep_window.json")) {
         std::cerr << "failed to write BENCH_ep_window.json\n";

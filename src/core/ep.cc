@@ -200,7 +200,8 @@ EpWorkspace::bufferDoubles() const
            joint_.mean.capacity() + joint_.covariance.capacity() +
            scratch_.J.capacity() + scratch_.h.capacity() +
            scratch_.chol.capacity() + scratch_.col.capacity() +
-           2 * siteByVar_.capacity() +
+           2 * siteByVar_.capacity() + keep_.capacity() +
+           blockSites_.capacity() + blockKeep_.capacity() +
            sites_.capacity() * sizeof(Site) / sizeof(double);
 }
 
@@ -266,7 +267,9 @@ ExpectationPropagation::run(const FactorGraph &graph, EpWorkspace &ws,
     // the starts.
     const auto &t_factors = graph.factorsOfKind(FactorKind::StudentT);
     if (ws.sites_.capacity() < t_factors.size() ||
-        ws.blockSites_.capacity() < blocks + 1)
+        ws.blockSites_.capacity() < blocks + 1 ||
+        ws.keep_.capacity() < t_factors.size() ||
+        ws.blockKeep_.capacity() < blocks + 1)
         ++ws.grows_;
     ws.blockSites_.assign(blocks + 1, 0);
     for (graph::FactorId fid : t_factors)
@@ -291,6 +294,28 @@ ExpectationPropagation::run(const FactorGraph &graph, EpWorkspace &ws,
     for (std::size_t t = blocks; t > 0; --t)
         ws.blockSites_[t] = ws.blockSites_[t - 1];
     ws.blockSites_[0] = 0;
+
+    // Each block's kept set: the sorted, distinct offsets of the
+    // variables its sites sit on — all the chain's block marginal has
+    // to cover.  A site's slot is its variable's index in that set.
+    ws.keep_.clear();
+    ws.keep_.reserve(t_factors.size());
+    ws.blockKeep_.assign(blocks + 1, 0);
+    for (std::size_t t = 0; t < blocks; ++t) {
+        const auto first = ws.sites_.begin() + ws.blockSites_[t];
+        const auto last = ws.sites_.begin() + ws.blockSites_[t + 1];
+        const std::size_t begin = ws.keep_.size();
+        for (auto it = first; it != last; ++it)
+            ws.keep_.push_back(it->var - t * block);
+        const auto kbegin = ws.keep_.begin() + begin;
+        std::sort(kbegin, ws.keep_.end());
+        ws.keep_.erase(std::unique(kbegin, ws.keep_.end()), ws.keep_.end());
+        for (auto it = first; it != last; ++it)
+            it->slot = static_cast<std::size_t>(
+                std::lower_bound(kbegin, ws.keep_.end(), it->var - t * block) -
+                kbegin);
+        ws.blockKeep_[t + 1] = ws.keep_.size();
+    }
 
     if (ws.siteByVar_.capacity() < n)
         ++ws.grows_;
@@ -324,19 +349,21 @@ ExpectationPropagation::run(const FactorGraph &graph, EpWorkspace &ws,
         }
 
         for (std::size_t t = 0; t < blocks; ++t) {
-            // Chain: the joint is block t's local marginal, indexed
-            // from the block's first variable.  Dense: the full joint.
-            std::size_t base = 0;
-            if (chain) {
-                ws.chain_.blockMarginal(t, ws.siteByVar_, ws.joint_);
+            // Chain: the joint is block t's marginal over its kept set
+            // (site i reads entry slot); a block without sites needs
+            // none.  Dense: the full joint, indexed by variable.
+            const std::span<const std::size_t> keep(
+                ws.keep_.data() + ws.blockKeep_[t],
+                ws.blockKeep_[t + 1] - ws.blockKeep_[t]);
+            if (chain && !keep.empty()) {
+                ws.chain_.blockMarginal(t, ws.siteByVar_, keep, ws.joint_);
                 ++result.blockFlushes;
-                base = ws.chain_.blockBegin(t);
             }
             for (std::size_t i = ws.blockSites_[t]; i < ws.blockSites_[t + 1];
                  ++i) {
                 EpWorkspace::Site &site = ws.sites_[i];
                 const graph::VarId lv =
-                    static_cast<graph::VarId>(site.var - base);
+                    static_cast<graph::VarId>(chain ? site.slot : site.var);
                 const double marg_var = ws.joint_.covariance(lv, lv);
                 const double marg_mean = ws.joint_.mean[lv];
                 const std::uint64_t mcmc_seed =
@@ -363,9 +390,10 @@ ExpectationPropagation::run(const FactorGraph &graph, EpWorkspace &ws,
                                ws.scratch_)) {
                     ++result.rank1Updates;
                 } else {
-                    // Downdate refused (near-improper block): re-invert
+                    // Downdate refused (near-improper block): refactor
                     // the block with the new site.
-                    ws.chain_.blockMarginal(t, ws.siteByVar_, ws.joint_);
+                    ws.chain_.blockMarginal(t, ws.siteByVar_, keep,
+                                            ws.joint_);
                     ++result.blockFlushes;
                 }
             }
@@ -389,9 +417,15 @@ ExpectationPropagation::run(const FactorGraph &graph, EpWorkspace &ws,
     if (chain) {
         // Blocks visited early in the last sweep predate the later
         // blocks' updates: one smoothing pass makes every marginal
-        // current.
-        ws.chain_.marginals(ws.siteByVar_, result.mean, result.stddev,
-                            ws.joint_);
+        // current.  The last sweep passed every block forward with its
+        // final sites, so its left messages are already current and
+        // only the backward pass runs.
+        if (result.sweeps > 0)
+            ws.chain_.marginalsAfterSweep(ws.siteByVar_, result.mean,
+                                          result.stddev, ws.joint_);
+        else
+            ws.chain_.marginals(ws.siteByVar_, result.mean, result.stddev,
+                                ws.joint_);
         ++result.fullSolves;
     } else {
         result.mean.resize(n);

@@ -16,12 +16,18 @@
  * variable-id blocks (graph::ChainSolver; one block is one time slice
  * of a window model).  Each sweep runs one backward pass of
  * Schur-complement messages, then visits the blocks in order: the
- * block's local marginal is formed from its own precision, its sites
- * and the messages from both neighbours, its sites update against
- * that e x e covariance by Sherman-Morrison rank-1 updates (O(e^2)
- * each), and the updated block passes its message on to the next.
- * This is exactly sequential EP — the local marginal equals the
- * joint's — at O(k e^3) per sweep instead of a dense n x n joint.
+ * block's marginal over its site variables (the distinct variables
+ * carrying a Student-t site, all EP reads) is formed from its own
+ * precision, its sites and the messages from both neighbours — one
+ * Cholesky factorization with those variables ordered last, and only
+ * the trailing s x s factor inverted — its sites update against that
+ * s x s covariance by Sherman-Morrison rank-1 updates (O(s^2) each),
+ * and the updated block passes its message on to the next.  A block
+ * without sites is only passed on.  This is exactly sequential EP —
+ * the block marginal equals the joint's — at O(k e^3) per sweep
+ * instead of a dense n x n joint.  The final smoothing pass reuses
+ * the last sweep's left messages, so it runs only the backward pass
+ * and one all-variable block marginal per block.
  * JointStrategy::DenseResolve re-solves the dense joint after every
  * site change on the same schedule; the golden-posterior suite pins
  * the two paths to each other within 1e-6.
@@ -54,9 +60,10 @@ enum class MomentMethod {
 /** How the joint is kept in sync with site updates. */
 enum class JointStrategy {
     /**
-     * Chain sweep: block-local marginals from block-tridiagonal
-     * messages, rank-1 updates inside a block, a block re-inversion
-     * when a downdate is too ill-conditioned.  The fast path.
+     * Chain sweep: block marginals over site variables from
+     * block-tridiagonal messages, rank-1 updates inside a block, a
+     * block refactorization when a downdate is too ill-conditioned.
+     * The fast path.
      */
     Chain,
     /**
@@ -103,20 +110,23 @@ struct EpResult
     /** Total tilted-moment evaluations (accelerator cost model). */
     std::size_t momentEvaluations = 0;
     /**
-     * Site changes applied to a block's local covariance by an e x e
-     * rank-1 update (Chain); 0 under DenseResolve.
+     * Site changes applied to a block marginal's s x s covariance (s
+     * = the block's site variables) by a rank-1 update (Chain); 0
+     * under DenseResolve.
      */
     std::size_t rank1Updates = 0;
     /**
      * Whole-window solves.  Chain: one backward message pass per
-     * sweep plus the final smoothing pass.  DenseResolve: dense n x n
-     * solves, the initial one plus one per site change.
+     * sweep plus the final smoothing pass (a backward pass and one
+     * all-variable marginal per block; it reuses the last sweep's
+     * left messages).  DenseResolve: dense n x n solves, the initial
+     * one plus one per site change.
      */
     std::size_t fullSolves = 0;
     /**
-     * Block local marginals factorized (Chain): one per block per
-     * sweep, plus one per refused downdate, which re-inverts the block
-     * instead.  0 under DenseResolve.
+     * Block marginals over site variables factorized (Chain): one per
+     * block that has sites, per sweep, plus one per refused downdate,
+     * which refactors the block instead.  0 under DenseResolve.
      */
     std::size_t blockFlushes = 0;
     /**
@@ -154,6 +164,8 @@ class EpWorkspace
     struct Site
     {
         graph::VarId var;
+        /** Chain: index of var in its block's kept set. */
+        std::size_t slot;
         double loc, scale, nu;
         graph::Gaussian approx; // natural units
     };
@@ -162,11 +174,19 @@ class EpWorkspace
     std::vector<Site> sites_;
     /** Sites of block t are sites_[blockSites_[t] .. blockSites_[t+1]). */
     std::vector<std::size_t> blockSites_;
+    /**
+     * Kept sets: block t's block marginal covers the local offsets
+     * keep_[blockKeep_[t] .. blockKeep_[t+1]), sorted — the distinct
+     * variables of its sites, the only ones EP reads.
+     */
+    std::vector<std::size_t> keep_;
+    std::vector<std::size_t> blockKeep_;
     /** Product of the sites on each variable (natural units). */
     std::vector<graph::Gaussian> siteByVar_;
     graph::ChainSolver chain_;
     graph::GaussianSolver dense_; // DenseResolve only
-    /** Chain: the current block's local marginal; dense: the joint. */
+    /** Chain: the current block's marginal over its kept set; dense:
+     * the joint. */
     graph::GaussianJoint joint_;
     graph::SolverScratch scratch_;
     std::size_t grows_ = 0;

@@ -16,9 +16,10 @@
  * factorize.  GaussianSolver does this densely (O(n^3), the
  * reference); ChainSolver exploits the block-tridiagonal structure of
  * window graphs and never forms the n x n joint (EP's production
- * path).  Sherman-Morrison rank-1 updates apply a single-site change
- * to an already-solved joint in O(n^2) — EP uses them on one block's
- * local marginal.
+ * path), and its block marginals cover only the variables the caller
+ * keeps (EP keeps the ones carrying a site).  Sherman-Morrison rank-1
+ * updates apply a single-site change to an already-solved joint in
+ * O(n^2) — EP uses them on one block's site-variable marginal.
  *
  * When every factor in the graph is Gaussian this *is* the exact
  * posterior, which the tests use to validate EP.
@@ -28,6 +29,7 @@
 #define BPERF_GRAPH_EXACT_H
 
 #include <algorithm>
+#include <span>
 #include <vector>
 
 #include "common/matrix.h"
@@ -154,18 +156,26 @@ class GaussianSolver
  * at most two adjacent blocks, so the scaled precision is block
  * tridiagonal: diagonal blocks D_t and couplings U_t = J[t, t+1].
  * WindowModel lays variables out slice-major and its walks link the
- * same event in adjacent slices, so there b is the event count and
- * one block is one time slice.  Any graph gets a valid layout; one
- * without chain structure just gets larger blocks.
+ * same event in adjacent slices, so there b is the event count, one
+ * block is one time slice and every U_t is diagonal.  Any graph gets
+ * a valid layout; one without chain structure just gets larger
+ * blocks.
  *
  * A sweep is one backward pass (beginSweep: Schur-complement
  * messages from the right into every block), then the blocks in
- * order: blockMarginal() gives the block's local marginal under the
- * current left and right messages — exactly the joint's marginal over
- * that block — and passForward() folds the block's updated sites into
- * the left message for the next block.  Each step is O(b^3); storage
- * is O(n b).  Units, scale hints and the 1e-12 ridge match
- * GaussianSolver, so both give the same posterior.
+ * order: blockMarginal() gives the marginal of a chosen subset of the
+ * block's variables under the current left and right messages —
+ * exactly the joint's marginal over them — and passForward() folds
+ * the block's updated sites into the left message of the next block.
+ * Both messages are stored per block, so after a complete sweep the
+ * left messages already reflect every block's final sites and
+ * marginalsAfterSweep() needs only the backward pass.
+ *
+ * Each step is O(b^3) (one Cholesky factorization of the block); the
+ * eliminations skip the coupling columns that are zero, so a diagonal
+ * coupling costs a triangle, not a square.  Storage is O(n b).
+ * Units, scale hints and the 1e-12 ridge match GaussianSolver, so
+ * both give the same posterior.
  */
 class ChainSolver
 {
@@ -192,17 +202,26 @@ class ChainSolver
 
     /**
      * Backward pass: rebuild every right message for `sites` (one per
-     * variable, natural units) and reset the left message to block 0.
+     * variable, natural units).  Block 0's left message is always
+     * zero; the others are written by passForward().
      */
     void beginSweep(const std::vector<Gaussian> &sites);
 
     /**
-     * Local marginal of block t under the current messages, in
-     * natural units: `local` becomes a blockLength(t)-variable joint
-     * indexed from blockBegin(t).  Its covariance is full (symmetric),
-     * so GaussianSolver::rank1SiteUpdate applies to it directly.
+     * Marginal of the variables `keep` of block t under the current
+     * messages, in natural units.  `keep` holds sorted, distinct local
+     * offsets (variable blockBegin(t) + keep[i]); `local` becomes a
+     * keep.size()-variable joint whose entry i is variable keep[i].
+     * Its covariance is full (symmetric), so
+     * GaussianSolver::rank1SiteUpdate applies to it directly.
+     *
+     * One Cholesky factorization of the block with the kept variables
+     * ordered last; only the trailing s x s factor is inverted
+     * (Sigma_SS = L_SS^-T L_SS^-1), so EP pays for the variables it
+     * reads, not for the whole block.
      */
     void blockMarginal(std::size_t t, const std::vector<Gaussian> &sites,
+                       std::span<const std::size_t> keep,
                        GaussianJoint &local);
 
     /** Fold block t (with its current sites) into the left message of
@@ -211,12 +230,41 @@ class ChainSolver
 
     /**
      * Every variable's marginal mean and standard deviation (natural
-     * units) for `sites`: one backward and one forward pass.  `local`
+     * units) for `sites`: one forward and one backward pass.  `local`
      * is block scratch.
      */
     void marginals(const std::vector<Gaussian> &sites,
                    std::vector<double> &mean, std::vector<double> &stddev,
                    GaussianJoint &local);
+
+    /**
+     * marginals() after a complete sweep: every block was passed
+     * forward, in order, with the sites it holds in `sites`.  The left
+     * messages that sweep stored are then exactly the ones a fresh
+     * forward pass would compute, so only the backward pass runs; the
+     * result is bit-identical to marginals().
+     */
+    void marginalsAfterSweep(const std::vector<Gaussian> &sites,
+                             std::vector<double> &mean,
+                             std::vector<double> &stddev,
+                             GaussianJoint &local);
+
+    /**
+     * A stored message into a block, in scaled units: the precision
+     * is b x b with row stride blockSize() (the leading blockLength
+     * rows and columns are used), the information blockLength long.
+     */
+    struct Message
+    {
+        std::span<const double> precision;
+        std::span<const double> information;
+    };
+    /** Left message into block t: written by passForward(t - 1),
+     * always zero for block 0. */
+    Message leftMessage(std::size_t t) const;
+    /** Right message into block t: written by beginSweep(), always
+     * zero for the last block. */
+    Message rightMessage(std::size_t t) const;
 
     /** Buffer-growth events since construction. */
     std::size_t bufferGrows() const { return grows_; }
@@ -224,18 +272,25 @@ class ChainSolver
     std::size_t bufferDoubles() const;
 
   private:
-    /** Scaled precision and information of block t with its sites
-     * and, on request, the left and/or right message, into A_/a_. */
+    /**
+     * Scaled precision and information of block t with its sites
+     * and, on request, the left and/or right message, into A_/a_.
+     * With `order`, row i of A_ is the block's variable order[i].
+     */
     void assemble(std::size_t t, const std::vector<Gaussian> &sites,
-                  bool left, bool right);
+                  bool left, bool right, const std::size_t *order = nullptr);
+    /** Factor the m x m block in A_ as G G^T in place, storing G^T in
+     * the upper triangle (column k of G is row k). */
+    void factor(std::size_t m);
     /**
      * Eliminate the block held in A_/a_ (m variables) through the
      * coupling B (m x q, element (i, j) at B[i * rs + j * cs]):
      * prec = -B^T A^-1 B (q x q, row stride b), info = -B^T A^-1 a.
+     * width[i] bounds the nonzero columns of B's rows 0..i.
      */
     void eliminate(std::size_t m, const double *B, std::size_t rs,
-                   std::size_t cs, std::size_t q, double *prec,
-                   double *info);
+                   std::size_t cs, std::size_t q, const std::size_t *width,
+                   double *prec, double *info);
 
     std::size_t n_ = 0;
     std::size_t b_ = 1;
@@ -244,15 +299,19 @@ class ChainSolver
     std::vector<double> baseH_; // backbone information (scaled)
     std::vector<double> D_;     // diagonal blocks, b x b each
     std::vector<double> U_;     // couplings J[t, t+1], b x b each
+    /** Per coupling, b entries: 1 + the last nonzero column of U_t's
+     * rows 0..i (forward), of U_t^T's rows 0..i (backward); 0 if none. */
+    std::vector<std::size_t> fwdWidth_, bwdWidth_;
     std::vector<double> R_;     // right messages (precision), b x b each
     std::vector<double> r_;     // right messages (information), n
-    std::vector<double> L_;     // left message into the current block
-    std::vector<double> l_;
-    Matrix A_;                  // assembled block (scaled)
+    std::vector<double> L_;     // left messages (precision), b x b each
+    std::vector<double> l_;     // left messages (information), n
+    std::vector<double> A_;     // assembled block (scaled), m x m
     std::vector<double> a_;
-    std::vector<double> W_;     // elimination scratch, b x b
+    std::vector<double> W_;     // elimination / inverse scratch, b x b
     std::vector<double> w_;
-    std::vector<double> chol_;  // choleskyInverseInto scratch
+    std::vector<std::size_t> order_; // kept-last variable order
+    std::vector<std::size_t> all_;   // 0 .. b-1
     std::size_t grows_ = 0;
 };
 

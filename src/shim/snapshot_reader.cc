@@ -363,6 +363,20 @@ struct OddStreak
     }
 };
 
+/**
+ * The calling thread's working snapshot for readSlotImpl().  A read
+ * fills it and only an Ok verdict copies it into the caller's `out`,
+ * so `out` stays untouched on every other verdict, and a warm read
+ * reuses both buffers' capacity instead of allocating a counters
+ * vector per read.
+ */
+PosteriorSnapshot &
+scratchSnapshot()
+{
+    thread_local PosteriorSnapshot snap;
+    return snap;
+}
+
 } // namespace
 
 ReadStatus
@@ -473,7 +487,7 @@ SnapshotReader::peekSlot(std::size_t slot, std::uint64_t &session_id,
 }
 
 ReadStatus
-SnapshotReader::readSlotImpl(std::size_t slot, PosteriorSnapshot &out,
+SnapshotReader::readSlotImpl(std::size_t slot, PosteriorSnapshot &snap,
                              std::size_t max_retries) const
 {
     bp_assert(slot < slots_,
@@ -486,9 +500,6 @@ SnapshotReader::readSlotImpl(std::size_t slot, PosteriorSnapshot &out,
             return *cached;
     }
 
-    // Reused across retry attempts, so a contended read does not
-    // reallocate its counters vector per attempt.
-    PosteriorSnapshot snap;
     OddStreak odd;
     for (std::size_t attempt = 0; odd.keepTrying(attempt, max_retries);
          ++attempt) {
@@ -599,7 +610,6 @@ SnapshotReader::readSlotImpl(std::size_t slot, PosteriorSnapshot &out,
         const std::uint64_t now = steadyNowNanos();
         snap.ageNanos =
             now > snap.publishNanos ? now - snap.publishNanos : 0;
-        out = std::move(snap);
         return ReadStatus::Ok;
     }
     if (odd.held) { // held odd past kWriterDeadNanos
@@ -613,7 +623,10 @@ ReadStatus
 SnapshotReader::readSlot(std::size_t slot, PosteriorSnapshot &out,
                          std::size_t max_retries) const
 {
-    const ReadStatus status = readSlotImpl(slot, out, max_retries);
+    PosteriorSnapshot &snap = scratchSnapshot();
+    const ReadStatus status = readSlotImpl(slot, snap, max_retries);
+    if (status == ReadStatus::Ok)
+        out = snap;
     countRead(status);
     return status;
 }
@@ -637,11 +650,11 @@ SnapshotReader::read(std::uint64_t session_id, PosteriorSnapshot &out,
     // the scan below covers the rest of the table.
     std::atomic<std::size_t> &hint = state_->slotHint[session_id % slots_];
     const std::size_t hinted = hint.load(std::memory_order_relaxed);
+    PosteriorSnapshot &snap = scratchSnapshot();
     if (hinted < slots_) {
-        PosteriorSnapshot snap;
         const ReadStatus status = readSlotImpl(hinted, snap, max_retries);
         if (status == ReadStatus::Ok && snap.sessionId == session_id) {
-            out = std::move(snap);
+            out = snap;
             countRead(ReadStatus::Ok);
             return ReadStatus::Ok;
         }
@@ -662,18 +675,17 @@ SnapshotReader::read(std::uint64_t session_id, PosteriorSnapshot &out,
         }
         if (id != session_id)
             continue;
-        // Copy into a local first: `out` must not be clobbered with
-        // another session's snapshot if the slot was reallocated
+        // Read into the scratch first: `out` must not be clobbered
+        // with another session's snapshot if the slot was reallocated
         // between probe and copy (a consumer may keep its last-known
         // snapshot across a NotFound poll).
-        PosteriorSnapshot snap;
         const ReadStatus status = readSlotImpl(slot, snap, max_retries);
         noteDegraded(status);
         // The slot may have been invalidated or handed to another
         // session between probe and copy; keep scanning if so.
         if (status == ReadStatus::Ok && snap.sessionId == session_id) {
             hint.store(slot, std::memory_order_relaxed);
-            out = std::move(snap);
+            out = snap;
             countRead(ReadStatus::Ok);
             return ReadStatus::Ok;
         }

@@ -241,12 +241,15 @@ class SnapshotReader
      * read when the session has not moved), then scans the rest of
      * the slot table.  Wait-free except for seqlock retries, which
      * are bounded by `max_retries`, and a slot left odd when they run
-     * out, which is waited on for at most kWriterDeadNanos.
+     * out, which is waited on for at most kWriterDeadNanos.  `out` is
+     * written only on Ok (in place: its counters buffer is reused);
+     * every other verdict leaves it unchanged.
      */
     ReadStatus read(std::uint64_t session_id, PosteriorSnapshot &out,
                     std::size_t max_retries = kDefaultMaxRetries) const;
 
-    /** Copy slot `slot` directly (consumers that cached a slot). */
+    /** Copy slot `slot` directly (consumers that cached a slot); `out`
+     * is written only on Ok, as with read(). */
     ReadStatus readSlot(std::size_t slot, PosteriorSnapshot &out,
                         std::size_t max_retries = kDefaultMaxRetries) const;
 
@@ -286,8 +289,9 @@ class SnapshotReader
                         std::size_t max_retries) const;
 
     /** readSlot() without stats counting (read() aggregates its own
-     * probe outcomes into one counted result). */
-    ReadStatus readSlotImpl(std::size_t slot, PosteriorSnapshot &out,
+     * probe outcomes into one counted result), into the working
+     * snapshot `snap`: complete on Ok, unspecified otherwise. */
+    ReadStatus readSlotImpl(std::size_t slot, PosteriorSnapshot &snap,
                             std::size_t max_retries) const;
 
     /** Quarantine fast path: if `slot` is quarantined and its

@@ -110,6 +110,10 @@ TEST(JsonWriter, EpWindowBenchSchemaIsValid)
         .field("rank1_update_us", 0.11)
         .field("chain_pass_us", 42.0)
         .field("full_solve_us", 197.25)
+        .field("wide_kept_per_block", 8.125)
+        .field("wide_block_marginal_sites_us", 3.5)
+        .field("wide_block_marginal_all_us", 8.25)
+        .field("wide_elimination_us", 6.5)
         .endObject();
     const std::string doc = json.str();
     EXPECT_TRUE(JsonChecker(doc).valid());
@@ -119,7 +123,9 @@ TEST(JsonWriter, EpWindowBenchSchemaIsValid)
           "us_per_window_dense", "speedup_fast_vs_dense",
           "speedup_simd_vs_scalar", "us_per_window_fast_wide",
           "us_per_window_dense_wide", "speedup_fast_vs_dense_wide",
-          "buffer_growths"})
+          "buffer_growths", "wide_kept_per_block",
+          "wide_block_marginal_sites_us", "wide_block_marginal_all_us",
+          "wide_elimination_us"})
         EXPECT_NE(doc.find('"' + std::string(key) + "\": "),
                   std::string::npos)
             << key;

@@ -495,6 +495,91 @@ TEST(ChainSweep, WarmWorkspaceAllocatesNothing)
     EXPECT_EQ(result.mean, first);
 }
 
+TEST(ChainSweep, SitelessBlocksSkipTheirMarginal)
+{
+    // A block marginal covers the block's site variables only, so a
+    // slice without measurements needs none: its block is only passed
+    // forward.  Only the three slices with sites are factorized each
+    // sweep (plus refused downdates), and the posterior — the silent
+    // slices' included — still matches the dense reference.
+    const sim::MicroarchDescriptor uarch = sim::makeX86Skylake();
+    constexpr std::size_t k = 6;
+    const std::vector<double> norm = normalizerFor(k);
+    auto run = [&](JointStrategy strategy) {
+        WindowModel model(uarch, firstEvents(uarch, 13), k, {}, nullptr,
+                          &norm);
+        for (const WindowSite &s : windowSites(uarch, model.events(), k, 2))
+            if (s.slice == 0 || s.slice == 2 || s.slice == 3)
+                model.addMeasurement(s.event, s.slice, s.m);
+        EpConfig cfg;
+        cfg.maxSweeps = 4;
+        cfg.jointStrategy = strategy;
+        return ExpectationPropagation(cfg).run(model.graph());
+    };
+    const EpResult chain = run(JointStrategy::Chain);
+    const EpResult dense = run(JointStrategy::DenseResolve);
+    const std::size_t per_sweep = 3 * chain.sweeps;
+    EXPECT_GE(chain.blockFlushes, per_sweep);
+    // Every flush beyond one per sited block is a refused downdate:
+    // a moment evaluation that did not become a rank-1 update.
+    EXPECT_LE(chain.blockFlushes - per_sweep,
+              chain.momentEvaluations - chain.rank1Updates);
+    EXPECT_LT(chain.blockFlushes, k * chain.sweeps);
+    EXPECT_EQ(chain.sweeps, dense.sweeps);
+    expectPosteriorsClose(chain, dense, 1e-6, "siteless slices");
+}
+
+TEST(ChainSweep, SitesSharingAVariableShareOneMarginalEntry)
+{
+    // Two measurements of the same (event, slice) are two sites on
+    // one variable: the block's kept set lists it once and both sites
+    // read and update that one entry.
+    const sim::MicroarchDescriptor uarch = sim::makeX86Skylake();
+    constexpr std::size_t k = 4;
+    const std::vector<double> norm = normalizerFor(k);
+    auto run = [&](JointStrategy strategy) {
+        WindowModel model(uarch, firstEvents(uarch, 13), k, {}, nullptr,
+                          &norm);
+        for (const WindowSite &s : windowSites(uarch, model.events(), k, 3)) {
+            model.addMeasurement(s.event, s.slice, s.m);
+            MeasurementModel again = s.m;
+            again.loc *= 1.05;
+            model.addMeasurement(s.event, s.slice, again);
+        }
+        EpConfig cfg;
+        cfg.jointStrategy = strategy;
+        return ExpectationPropagation(cfg).run(model.graph());
+    };
+    const EpResult chain = run(JointStrategy::Chain);
+    EXPECT_GT(chain.rank1Updates, 0u);
+    expectPosteriorsClose(chain, run(JointStrategy::DenseResolve), 1e-6,
+                          "shared variables");
+}
+
+TEST(ChainSweep, WarmWorkspaceAllocatesNothingForSparserSites)
+{
+    // Kept sets are sized by the sites: a warm workspace that served a
+    // densely measured window serves a sparser one of the same shape
+    // without allocating.
+    const sim::MicroarchDescriptor uarch = sim::makeX86Skylake();
+    const std::vector<double> norm = normalizerFor(8);
+    EpWorkspace ws;
+    EpResult result;
+    const ExpectationPropagation ep;
+    for (const std::size_t every : {2u, 5u}) {
+        WindowModel model(uarch, firstEvents(uarch, 32), 8, {}, nullptr,
+                          &norm);
+        for (const WindowSite &s :
+             windowSites(uarch, model.events(), 8, every))
+            model.addMeasurement(s.event, s.slice, s.m);
+        ep.run(model.graph(), ws, result);
+        if (every == 2)
+            EXPECT_GT(result.workspaceAllocations, 0u);
+        else
+            EXPECT_EQ(result.workspaceAllocations, 0u);
+    }
+}
+
 TEST(ChainSweep, WorkspaceHoldsNoDenseJoint)
 {
     // O(k e^2) storage: messages and blocks, never an n x n buffer.

@@ -177,9 +177,15 @@ TEST(SnapshotReader, TornWritesRetriedNeverReturned)
     std::uint64_t torn_reads = 0;
     std::uint64_t retried_reads = 0;
     PosteriorSnapshot snap;
+    // Read until a fixed number of consistent snapshots, not for a
+    // fixed time: a loaded host can deschedule the writer mid-publish
+    // for most of any short window.  The deadline only stops a reader
+    // that can make no progress at all.
+    constexpr std::uint64_t kOkReads = 20000;
     const auto deadline =
-        std::chrono::steady_clock::now() + std::chrono::milliseconds(300);
-    while (std::chrono::steady_clock::now() < deadline) {
+        std::chrono::steady_clock::now() + std::chrono::seconds(20);
+    while (ok_reads < kOkReads &&
+           std::chrono::steady_clock::now() < deadline) {
         const ReadStatus status = reader.readSlot(0, snap);
         if (status == ReadStatus::Torn) {
             ++torn_reads;
@@ -451,6 +457,53 @@ TEST(SnapshotReader, WarmReadByIdProbesOneSlot)
     EXPECT_EQ(snap.windowIndex, 1u);
     EXPECT_EQ(attempts, 1u);
     EXPECT_EQ(reader.stats().okReads, 5u);
+}
+
+TEST(SnapshotReader, WarmReadsReuseOutAndBadVerdictsLeaveItUntouched)
+{
+    // A warm read copies into the caller's snapshot in place: its
+    // counters buffer survives every read, by id and by slot, so a
+    // polling consumer allocates nothing per read.  A Corrupt verdict
+    // leaves `out` exactly as the last good read left it.
+    SnapshotRegion region(SnapshotRegionConfig{4, 13});
+    publishSession(region, 1, 7, 0);
+    SnapshotReader reader(region);
+    PosteriorSnapshot snap;
+    ASSERT_EQ(reader.read(7, snap), ReadStatus::Ok);
+    const SnapshotCounter *buffer = snap.counters.data();
+    for (std::uint64_t w = 1; w <= 4; ++w) {
+        publishSession(region, 1, 7, w);
+        ASSERT_EQ(reader.read(7, snap), ReadStatus::Ok);
+        EXPECT_TRUE(holdsSession(snap, 7));
+        EXPECT_EQ(snap.windowIndex, w);
+        EXPECT_EQ(snap.counters.data(), buffer) << "read(id) " << w;
+        ASSERT_EQ(reader.readSlot(1, snap), ReadStatus::Ok);
+        EXPECT_EQ(snap.counters.data(), buffer) << "readSlot " << w;
+    }
+
+    const PosteriorSnapshot before = snap;
+    auto *slot = slotAt(const_cast<std::byte *>(region.base()),
+                        region.layout(), 1);
+    slot->events()[1].stddevBits.fetch_xor(1ull << 40,
+                                           std::memory_order_relaxed);
+    EXPECT_EQ(reader.readSlot(1, snap), ReadStatus::Corrupt);
+    EXPECT_EQ(reader.read(7, snap), ReadStatus::Corrupt);
+    EXPECT_EQ(snap.counters.data(), buffer);
+    EXPECT_EQ(snap.sessionId, before.sessionId);
+    EXPECT_EQ(snap.windowIndex, before.windowIndex);
+    EXPECT_EQ(snap.endSlice, before.endSlice);
+    EXPECT_EQ(snap.publishNanos, before.publishNanos);
+    EXPECT_EQ(snap.ageNanos, before.ageNanos);
+    EXPECT_EQ(snap.retries, before.retries);
+    EXPECT_EQ(snap.execution.engineId, before.execution.engineId);
+    ASSERT_EQ(snap.counters.size(), before.counters.size());
+    for (std::size_t i = 0; i < snap.counters.size(); ++i) {
+        EXPECT_EQ(snap.counters[i].event, before.counters[i].event);
+        EXPECT_EQ(doubleBits(snap.counters[i].posterior.mean),
+                  doubleBits(before.counters[i].posterior.mean));
+        EXPECT_EQ(doubleBits(snap.counters[i].posterior.stddev),
+                  doubleBits(before.counters[i].posterior.stddev));
+    }
 }
 
 TEST(SnapshotReader, StaleHintAfterSlotReuseIsNeverTrusted)
