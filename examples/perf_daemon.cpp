@@ -37,7 +37,7 @@
  * --trace-out=FILE writes every window's phase spans as Chrome
  * trace-event JSON (load in Perfetto or chrome://tracing);
  * --metrics-every-ms=N starts a scraper thread that prints a
- * one-line telemetry digest every N ms and republishes the daemon's
+ * one-line health digest every N ms and republishes the daemon's
  * self-metrics through the snapshot shim (pseudo-session 0), so a
  * shim_reader in another process watches the monitor itself.
  * Unknown arguments, a zero engine/tenant/period count or a
@@ -86,31 +86,33 @@ usage(const char *argv0)
                  argv0);
 }
 
-/** One-line digest of the registry, printed by the scraper thread. */
+/**
+ * One-line health digest, printed by the scraper thread: counts come
+ * from the service's own statistics, the EP latency percentile from
+ * the telemetry registry's histogram.
+ */
 void
-printMetricsDigest(const char *tag)
+printMetricsDigest(const char *tag, const service::MonitorService &daemon)
 {
+    const service::ServiceStats stats = daemon.stats();
     auto &registry = telemetry::MetricsRegistry::global();
-    const telemetry::MetricsSnapshot snap = registry.scrape();
     const telemetry::Histogram::Snapshot ep_window =
         registry.histogramSnapshot("ep.window_ns");
-    std::printf("[metrics %s] %zu counters, %zu histograms; "
-                "ep.windows=%llu ring.drops=%llu sub.drops=%llu "
-                "shim.publishes=%llu log.warn=%llu log.err=%llu "
-                "ep.window p99=%.0f us\n",
-                tag, snap.counters.size(), snap.histograms.size(),
+    std::printf("[metrics %s] %zu histograms; windows=%llu "
+                "records.dropped=%llu sub.drops=%llu "
+                "shim.publishes=%llu ep.unconverged=%llu log.warn=%llu "
+                "log.err=%llu ep.window p99=%.0f us\n",
+                tag, registry.scrape().histograms.size(),
+                static_cast<unsigned long long>(stats.totals.windowsRun),
                 static_cast<unsigned long long>(
-                    registry.counterValue("ep.windows")),
+                    stats.totals.recordsDropped),
                 static_cast<unsigned long long>(
-                    registry.counterValue("ring.drops")),
+                    stats.subscriptions.dropped),
+                static_cast<unsigned long long>(stats.snapshot.publishes),
                 static_cast<unsigned long long>(
-                    registry.counterValue("subscription.drops")),
-                static_cast<unsigned long long>(
-                    registry.counterValue("shim.publishes")),
-                static_cast<unsigned long long>(
-                    registry.counterValue("log.warnings")),
-                static_cast<unsigned long long>(
-                    registry.counterValue("log.errors")),
+                    stats.totals.epUnconvergedWindows),
+                static_cast<unsigned long long>(stats.logWarnings),
+                static_cast<unsigned long long>(stats.logErrors),
                 ep_window.count > 0 ? ep_window.percentile(99.0) / 1e3
                                     : 0.0);
 }
@@ -315,7 +317,7 @@ main(int argc, char **argv)
     }
     const auto monitored = daemon.monitoredEvents(ids[0]);
 
-    // Periodic self-observation: print a registry digest and mirror
+    // Periodic self-observation: print a health digest and mirror
     // the daemon's own health metrics into the snapshot shim, where a
     // cross-process shim_reader sees them as pseudo-session 0.  No
     // early return below until the thread is joined.
@@ -330,7 +332,7 @@ main(int argc, char **argv)
                        lock, std::chrono::milliseconds(metrics_every_ms),
                        [&] { return metrics_stop; })) {
                 lock.unlock();
-                printMetricsDigest("scrape");
+                printMetricsDigest("scrape", daemon);
                 daemon.publishSelfMetrics();
                 lock.lock();
             }
@@ -553,7 +555,7 @@ main(int argc, char **argv)
                     : 0.0);
 
     if (metrics_every_ms > 0)
-        printMetricsDigest("final");
+        printMetricsDigest("final", daemon);
 
     // Write the trace last: the close() loop above ran the tail
     // windows, so their spans are in the collector by now.

@@ -97,16 +97,12 @@ AccelBackend::execute(const core::WindowJob &job)
     stats_.serviceSeconds.push(exec.serviceSeconds);
     stats_.modeledSeconds.push(exec.modeledSeconds);
 
-    static telemetry::Counter &windows =
-        telemetry::MetricsRegistry::global().counter(
-            "backend.accel.windows");
     static telemetry::Histogram &queue_ns =
         telemetry::MetricsRegistry::global().histogram(
             "backend.accel.queue_ns");
     static telemetry::Histogram &service_ns =
         telemetry::MetricsRegistry::global().histogram(
             "backend.accel.service_ns");
-    windows.add();
     queue_ns.record(
         static_cast<std::uint64_t>(exec.queueWaitSeconds * 1e9));
     service_ns.record(

@@ -230,11 +230,12 @@ WindowedInference::runWindow(std::size_t w_len)
         }
     }
 
-    const std::size_t ws_allocs_before = epWorkspace_.totalAllocations();
     ep_.run(model.graph(), epWorkspace_, epResult_);
     const EpResult &ep_result = epResult_;
     ++windowsRun_;
     epSweepsTotal_ += ep_result.sweeps;
+    if (!ep_result.converged)
+        ++epUnconvergedWindows_;
     epMomentEvaluations_ += ep_result.momentEvaluations;
     epRank1Updates_ += ep_result.rank1Updates;
     epFullSolves_ += ep_result.fullSolves;
@@ -329,25 +330,8 @@ WindowedInference::runWindow(std::size_t w_len)
         exec.span.epStartNanos = spanNanos(t_start);
         exec.span.epEndNanos = spanNanos(t_end);
 
-        auto &registry = telemetry::MetricsRegistry::global();
-        static telemetry::Counter &ep_windows =
-            registry.counter("ep.windows");
-        static telemetry::Counter &ep_sweeps =
-            registry.counter("ep.sweeps");
-        // Windows whose EP stopped at maxSweeps with a site still
-        // moving by more than the tolerance.
-        static telemetry::Counter &ep_unconverged =
-            registry.counter("ep.unconverged_windows");
-        static telemetry::Counter &ep_workspace_allocs =
-            registry.counter("ep.workspace_allocations");
         static telemetry::Histogram &ep_window_ns =
-            registry.histogram("ep.window_ns");
-        ep_windows.add();
-        ep_sweeps.add(ep_result.sweeps);
-        if (!ep_result.converged)
-            ep_unconverged.add();
-        ep_workspace_allocs.add(epWorkspace_.totalAllocations() -
-                                ws_allocs_before);
+            telemetry::MetricsRegistry::global().histogram("ep.window_ns");
         ep_window_ns.record(
             static_cast<std::uint64_t>(window_seconds * 1e9));
     }
@@ -373,6 +357,7 @@ WindowedInference::takeResult()
     result.firstSlice = seriesBase_;
     result.windowsRun = windowsRun_;
     result.epSweepsTotal = epSweepsTotal_;
+    result.epUnconvergedWindows = epUnconvergedWindows_;
     result.epMomentEvaluations = epMomentEvaluations_;
     result.epRank1Updates = epRank1Updates_;
     result.epFullSolves = epFullSolves_;

@@ -99,6 +99,9 @@ struct InferenceResult
 
     std::size_t windowsRun = 0;
     std::size_t epSweepsTotal = 0;
+    /** Windows whose EP stopped at maxSweeps with a site still moving
+     * by more than the tolerance (counted with telemetry on or off). */
+    std::size_t epUnconvergedWindows = 0;
     /** Cumulative EP op counts over the run's windows (the bench's
      * per-window cost decomposition; see EpResult). */
     std::size_t epMomentEvaluations = 0;
@@ -261,6 +264,10 @@ class WindowedInference
 
     std::size_t windowsRun() const { return windowsRun_; }
     std::size_t epSweepsTotal() const { return epSweepsTotal_; }
+    std::size_t epUnconvergedWindows() const
+    {
+        return epUnconvergedWindows_;
+    }
 
     /**
      * Cumulative buffer-growth events of the reused EP workspace.
@@ -281,9 +288,6 @@ class WindowedInference
     {
         return (model_ ? model_->bufferGrows() : 0) + stagingGrows_;
     }
-
-    /** Cumulative wall time spent inside window EP runs. */
-    double inferSeconds() const { return inferSeconds_; }
 
     /** Called on the running thread at the end of every window with
      * its backend execution (modeled and host wall time). */
@@ -350,6 +354,7 @@ class WindowedInference
 
     std::size_t windowsRun_ = 0;
     std::size_t epSweepsTotal_ = 0;
+    std::size_t epUnconvergedWindows_ = 0;
     /** Cumulative EP op counters (InferenceResult mirrors). */
     std::size_t epMomentEvaluations_ = 0;
     std::size_t epRank1Updates_ = 0;

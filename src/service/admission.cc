@@ -3,41 +3,9 @@
 #include <algorithm>
 
 #include "common/logging.h"
-#include "telemetry/telemetry.h"
 
 namespace bperf {
 namespace service {
-
-namespace {
-
-telemetry::Counter &
-sessionsRejectedCounter()
-{
-    static telemetry::Counter &c =
-        telemetry::MetricsRegistry::global().counter(
-            "admission.sessions_rejected");
-    return c;
-}
-
-telemetry::Counter &
-recordsShedCounter()
-{
-    static telemetry::Counter &c =
-        telemetry::MetricsRegistry::global().counter(
-            "admission.records_shed");
-    return c;
-}
-
-telemetry::Counter &
-recordsThrottledCounter()
-{
-    static telemetry::Counter &c =
-        telemetry::MetricsRegistry::global().counter(
-            "admission.records_throttled");
-    return c;
-}
-
-} // namespace
 
 const char *
 admissionErrorName(AdmissionError error)
@@ -118,7 +86,6 @@ AdmissionController::admitSession(const std::string &name)
     if (t.quota.maxSessions != 0 &&
         t.liveSessions >= t.quota.maxSessions) {
         ++t.stats.sessionsRejected;
-        sessionsRejectedCounter().add();
         return AdmissionError::SessionQuota;
     }
     // Latency feedback: the backend's own "now" (its latest release)
@@ -135,7 +102,6 @@ AdmissionController::admitSession(const std::string &name)
             std::max(depth.nowSeconds, lastStreamSeconds_);
         if (depth.queueSecondsAt(now) > config_.shedQueueSeconds) {
             ++t.stats.sessionsRejected;
-            sessionsRejectedCounter().add();
             return AdmissionError::BackendSaturated;
         }
     }
@@ -205,7 +171,6 @@ AdmissionController::admitRecord(const std::string &name,
         if (depth.queueSecondsAt(streamSeconds) >
             config_.throttleQueueSeconds) {
             ++t.stats.recordsShed;
-            recordsShedCounter().add();
             return AdmissionError::BackendSaturated;
         }
     }
@@ -214,7 +179,6 @@ AdmissionController::admitRecord(const std::string &name,
         purgeInFlight(t, streamSeconds);
         if (t.inFlightCompletions.size() >= t.quota.maxInFlightWindows) {
             ++t.stats.recordsThrottled;
-            recordsThrottledCounter().add();
             return AdmissionError::WindowQuota;
         }
     }
@@ -223,7 +187,6 @@ AdmissionController::admitRecord(const std::string &name,
         refill(t, streamSeconds);
         if (t.tokens < 1.0) {
             ++t.stats.recordsThrottled;
-            recordsThrottledCounter().add();
             return AdmissionError::RateLimited;
         }
         t.tokens -= 1.0;

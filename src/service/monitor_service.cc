@@ -323,6 +323,7 @@ MonitorService::stats() const
     out.admission = admission_.stats();
     if (snapshot_)
         out.snapshot = snapshot_->stats();
+    out.subscriptions = hub_.totals();
     {
         auto &registry = telemetry::MetricsRegistry::global();
         out.logWarnings = registry.counterValue("log.warnings");
@@ -368,6 +369,8 @@ MonitorService::publishSelfMetrics()
         {SelfLogErrors, static_cast<double>(s.logErrors)},
         {SelfShimPublishes, static_cast<double>(s.snapshot.publishes)},
         {SelfEpWindowP99Nanos, ep_p99},
+        {SelfEpUnconvergedWindows,
+         static_cast<double>(s.totals.epUnconvergedWindows)},
     };
     return snapshot_->publishSelfMetrics(metrics);
 }

@@ -114,6 +114,9 @@ struct ServiceStats
     /** Snapshot-shim publish accounting (enabled == false when the
      * shim is off). */
     SnapshotPublisherStats snapshot;
+    /** Window-update delivery summed over every subscriber ever
+     * registered (published == delivered + dropped once flushed). */
+    SubscriptionStats subscriptions;
     /** Process-wide bp_warn / bp_error(+fatal) counts, mirrored from
      * the telemetry registry (counted even when telemetry is off). */
     std::uint64_t logWarnings = 0;
@@ -290,6 +293,7 @@ class MonitorService
         SelfLogErrors = 7,
         SelfShimPublishes = 8,
         SelfEpWindowP99Nanos = 9,
+        SelfEpUnconvergedWindows = 10,
     };
 
     /** Live session count (registry size).  Safe from any thread. */

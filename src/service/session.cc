@@ -8,22 +8,6 @@ namespace service {
 
 namespace {
 
-telemetry::Counter &
-ringOffersCounter()
-{
-    static telemetry::Counter &c =
-        telemetry::MetricsRegistry::global().counter("ring.offers");
-    return c;
-}
-
-telemetry::Counter &
-ringDropsCounter()
-{
-    static telemetry::Counter &c =
-        telemetry::MetricsRegistry::global().counter("ring.drops");
-    return c;
-}
-
 telemetry::Histogram &
 ringWaitHistogram()
 {
@@ -53,8 +37,7 @@ SessionStats::merge(const SessionStats &other)
     slicesAssembled += other.slicesAssembled;
     windowsRun += other.windowsRun;
     epSweeps += other.epSweeps;
-    drainPasses += other.drainPasses;
-    inferSeconds += other.inferSeconds;
+    epUnconvergedWindows += other.epUnconvergedWindows;
     windowSeconds.merge(other.windowSeconds);
     modeledWindowSeconds.merge(other.modeledWindowSeconds);
     backendQueueSeconds.merge(other.backendQueueSeconds);
@@ -76,13 +59,9 @@ Session::offer(const sim::PerfRecord &rec)
 {
     if (!telemetry::enabled())
         return queue_.push(rec);
-    ringOffersCounter().add();
     sim::PerfRecord stamped = rec;
     stamped.ingestNanos = telemetry::nowNanos();
-    const bool pushed = queue_.push(stamped);
-    if (!pushed)
-        ringDropsCounter().add();
-    return pushed;
+    return queue_.push(stamped);
 }
 
 std::size_t
@@ -100,7 +79,7 @@ Session::drain()
         inference_.consume(*rec);
         ++drained;
     }
-    publishStats(/*drain_pass=*/true);
+    publishStats();
     return drained;
 }
 
@@ -108,7 +87,7 @@ void
 Session::finishStream()
 {
     inference_.finish();
-    publishStats(/*drain_pass=*/false);
+    publishStats();
 }
 
 /**
@@ -168,19 +147,17 @@ Session::reportWindow(const core::WindowExecution &exec)
  * readers only ever see the published copy.
  */
 void
-Session::publishStats(bool drain_pass)
+Session::publishStats()
 {
     // Per-window latency samples are folded in by reportWindow();
     // this publishes the engine's cumulative counters.
     const auto &engine = inference_.engine();
     std::lock_guard<std::mutex> lock(statsMutex_);
-    if (drain_pass)
-        ++stats_.drainPasses;
     stats_.recordsRejected = inference_.recordsRejected();
     stats_.slicesAssembled = engine.slicesSeen();
     stats_.windowsRun = engine.windowsRun();
     stats_.epSweeps = engine.epSweepsTotal();
-    stats_.inferSeconds = engine.inferSeconds();
+    stats_.epUnconvergedWindows = engine.epUnconvergedWindows();
 }
 
 std::optional<core::PosteriorPoint>

@@ -81,8 +81,7 @@ struct SessionStats
     std::uint64_t slicesAssembled = 0;
     std::uint64_t windowsRun = 0;
     std::uint64_t epSweeps = 0;
-    std::uint64_t drainPasses = 0;
-    double inferSeconds = 0.0;
+    std::uint64_t epUnconvergedWindows = 0; // EP stopped at maxSweeps
     /** Per-window EP latency distribution (seconds). */
     RunningStats windowSeconds;
     /** Modeled per-window latency on the execution backend (equals
@@ -158,7 +157,7 @@ class Session
     std::atomic<SessionState> state{SessionState::Idle};
 
   private:
-    void publishStats(bool drain_pass);
+    void publishStats();
     /** Per-window posterior publish, stats and subscription update
      * (the engine's window hook). */
     void reportWindow(const core::WindowExecution &exec);

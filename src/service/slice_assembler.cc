@@ -4,30 +4,9 @@
 #include <cmath>
 
 #include "common/logging.h"
-#include "telemetry/telemetry.h"
 
 namespace bperf {
 namespace service {
-
-namespace {
-
-telemetry::Counter &
-slicesAssembledCounter()
-{
-    static telemetry::Counter &c =
-        telemetry::MetricsRegistry::global().counter("slices.assembled");
-    return c;
-}
-
-telemetry::Counter &
-recordsRejectedCounter()
-{
-    static telemetry::Counter &c =
-        telemetry::MetricsRegistry::global().counter("records.rejected");
-    return c;
-}
-
-} // namespace
 
 SliceAssembler::SliceAssembler(std::vector<sim::EventId> events,
                                bool align_to_first_record)
@@ -61,7 +40,6 @@ SliceAssembler::finalizeCurrent(std::vector<core::SliceMeasurements> &out)
     current_.assign(events_.size(), sim::SliceSample{});
     open_ = false;
     ++frontSlice_;
-    slicesAssembledCounter().add();
 }
 
 std::size_t
@@ -84,7 +62,6 @@ SliceAssembler::feed(const sim::PerfRecord &rec,
     if (malformed || idx == SIZE_MAX || rec.slice < frontSlice_ ||
         (open_ && rec.slice < curSlice_) || too_far) {
         ++rejected_;
-        recordsRejectedCounter().add();
         return 0;
     }
 

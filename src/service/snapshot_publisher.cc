@@ -16,22 +16,6 @@ regionConfig(const SnapshotConfig &config)
     return region;
 }
 
-telemetry::Counter &
-shimPublishesCounter()
-{
-    static telemetry::Counter &c =
-        telemetry::MetricsRegistry::global().counter("shim.publishes");
-    return c;
-}
-
-telemetry::Counter &
-shimDropsCounter()
-{
-    static telemetry::Counter &c =
-        telemetry::MetricsRegistry::global().counter("shim.publish_drops");
-    return c;
-}
-
 telemetry::Histogram &
 shimPublishHistogram()
 {
@@ -88,7 +72,6 @@ SnapshotPublisher::publish(std::size_t slot, const WindowUpdate &update)
     region_.write(slot, update.sessionId, update.windowIndex,
                   update.endSlice, update.execution, update.events,
                   update.posterior, start);
-    shimPublishesCounter().add();
     if (telemetry::enabled()) {
         const std::uint64_t end = shim::steadyNowNanos();
         if (end > start)
@@ -100,7 +83,6 @@ void
 SnapshotPublisher::countDrop()
 {
     drops_.fetch_add(1, std::memory_order_relaxed);
-    shimDropsCounter().add();
 }
 
 bool
@@ -121,10 +103,10 @@ SnapshotPublisher::publishSelfMetrics(const std::vector<SelfMetric> &metrics)
         metrics.size() < region_.maxEvents() ? metrics.size()
                                              : region_.maxEvents();
     // Shape the metrics as a WindowUpdate and go through publish():
-    // self-metrics publishes are ordinary publishes, with the same
-    // counter bump and the same shim.publish_ns histogram sample —
-    // not a parallel path that duplicates (and drifts from) the
-    // accounting.
+    // self-metrics publishes are ordinary publishes, counted by the
+    // same region header word and sampled into the same
+    // shim.publish_ns histogram — not a parallel path that
+    // duplicates (and drifts from) the accounting.
     selfUpdate_.sessionId = kSelfMetricsSessionId;
     selfUpdate_.windowIndex = selfWindow_++;
     selfUpdate_.windowId = selfWindow_;

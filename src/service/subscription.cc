@@ -7,14 +7,6 @@ namespace service {
 
 namespace {
 
-telemetry::Counter &
-subscriptionDropsCounter()
-{
-    static telemetry::Counter &c =
-        telemetry::MetricsRegistry::global().counter("subscription.drops");
-    return c;
-}
-
 telemetry::Histogram &
 queueDepthHistogram()
 {
@@ -109,7 +101,6 @@ SubscriptionHub::publish(const WindowUpdate &update)
                 sub->queue.pop_front();
                 ++sub->stats.dropped;
                 --queuedTotal_;
-                subscriptionDropsCounter().add();
             }
             sub->queue.push_back(update);
             ++queuedTotal_;
@@ -193,6 +184,20 @@ SubscriptionHub::stats(SubscriptionId id) const
     if (it == subscribers_.end())
         return std::nullopt;
     return it->second->stats;
+}
+
+SubscriptionStats
+SubscriptionHub::totals() const
+{
+    std::lock_guard<std::mutex> lock(mutex_);
+    SubscriptionStats sum;
+    for (const auto &[id, sub] : subscribers_) {
+        (void)id;
+        sum.published += sub->stats.published;
+        sum.delivered += sub->stats.delivered;
+        sum.dropped += sub->stats.dropped;
+    }
+    return sum;
 }
 
 std::size_t

@@ -76,7 +76,9 @@ struct SubscriptionStats
     std::uint64_t published = 0;
     /** Updates the callback actually received. */
     std::uint64_t delivered = 0;
-    /** Updates dropped because the subscriber queue was full. */
+    /** Updates dropped undelivered: evicted from a full subscriber
+     * queue, or still queued at unsubscribe / hub teardown.  Once
+     * the queue is empty, published == delivered + dropped. */
     std::uint64_t dropped = 0;
 };
 
@@ -121,6 +123,10 @@ class SubscriptionHub
     /** Delivery accounting; nullopt for unknown ids (stats stay
      * readable after unsubscribe until the hub dies). */
     std::optional<SubscriptionStats> stats(SubscriptionId id) const;
+
+    /** Sum of every subscriber's accounting, unsubscribed ones
+     * included (the hub-wide delivery ledger). */
+    SubscriptionStats totals() const;
 
     /** Subscribers currently registered for a session. */
     std::size_t subscriberCount(std::uint64_t session_id) const;

@@ -8,14 +8,6 @@ namespace service {
 
 namespace {
 
-telemetry::Counter &
-dispatchesCounter()
-{
-    static telemetry::Counter &c =
-        telemetry::MetricsRegistry::global().counter("worker.dispatches");
-    return c;
-}
-
 telemetry::Histogram &
 dispatchWaitHistogram()
 {
@@ -88,7 +80,6 @@ WorkerPool::workerLoop()
             if (now > entry.submitNanos)
                 dispatchWaitHistogram().record(now - entry.submitNanos);
         }
-        dispatchesCounter().add();
         process_(entry.id);
         lock.lock();
         --active_;

@@ -14,9 +14,12 @@
  *     scraping is the slow path by construction.
  *
  * Counters and histograms are owned by a MetricsRegistry keyed by
- * name ("ring.drops", "ep.window_ns", ...).  Lookup takes a mutex, so
- * call sites resolve their instrument once into a static reference
- * and keep only the fetch_add on the hot path.
+ * name ("ep.window_ns", "log.warnings", ...).  Lookup takes a mutex,
+ * so call sites resolve their instrument once into a static reference
+ * and keep only the fetch_add on the hot path.  The pipeline keeps
+ * its event counts in the *Stats struct that owns each event
+ * (SessionStats, AdmissionStats, ...); the registry holds what no
+ * struct computes — latency/depth histograms — and the log counters.
  *
  * Histograms are fixed log2 buckets: bucket 0 holds the value 0,
  * bucket b >= 1 holds [2^(b-1), 2^b).  Percentiles come back as the
@@ -226,9 +229,9 @@ struct MetricsSnapshot
  * Name-keyed home of every instrument.  Instruments live forever at
  * stable addresses once created, so call sites cache references:
  *
- *   static telemetry::Counter &drops =
- *       telemetry::MetricsRegistry::global().counter("ring.drops");
- *   drops.add();
+ *   static telemetry::Histogram &wait =
+ *       telemetry::MetricsRegistry::global().histogram("ring.wait_ns");
+ *   wait.record(nanos);
  */
 class MetricsRegistry
 {

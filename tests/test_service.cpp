@@ -5,6 +5,7 @@
 #include <atomic>
 #include <cmath>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "core/inference.h"
@@ -12,6 +13,7 @@
 #include "service/record_stream.h"
 #include "service/slice_assembler.h"
 #include "sim/ground_truth.h"
+#include "telemetry/telemetry.h"
 #include "workloads/hibench.h"
 
 namespace bperf {
@@ -520,6 +522,93 @@ TEST(MonitorService, EndToEndPosteriorsAreDeterministic)
             }
         }
     }
+}
+
+/**
+ * Two sessions streamed slice by slice through a 2-worker daemon,
+ * with one subscriber on the first; returns the service totals after
+ * both closed and the sum of the close reports' unconverged windows.
+ */
+std::pair<ServiceStats, std::size_t>
+countedServiceRun()
+{
+    MonitorServiceConfig cfg;
+    cfg.numWorkers = 2;
+    cfg.sessionDefaults.streaming.inference = testInference();
+    // Two sweeps stop EP short of its tolerance, so windows end
+    // unconverged and that count has something to agree on.
+    cfg.sessionDefaults.streaming.inference.ep.maxSweeps = 2;
+    MonitorService daemon(uarch(), cfg);
+
+    const std::vector<SessionId> ids = {daemon.open(monitoredSet()),
+                                        daemon.open(monitoredSet())};
+    const auto monitored = daemon.monitoredEvents(ids[0]);
+    EXPECT_TRUE(
+        daemon.subscribe(ids[0], [](const WindowUpdate &) {}).has_value());
+    constexpr std::size_t kSlices = 18;
+    for (std::size_t s = 0; s < ids.size(); ++s) {
+        const auto run = measuredRun(monitored, kSlices, 1300 + s);
+        for (std::size_t t = 0; t < kSlices; ++t)
+            daemon.ingestBatch(ids[s], sliceRecords(run, t));
+    }
+
+    std::size_t unconverged = 0;
+    for (SessionId id : ids) {
+        const auto report = daemon.close(id);
+        EXPECT_TRUE(report.has_value());
+        if (report)
+            unconverged += report->posterior.epUnconvergedWindows;
+    }
+    daemon.flushSubscriptions();
+    return {daemon.stats(), unconverged};
+}
+
+TEST(MonitorService, CountsDoNotDependOnTelemetry)
+{
+    // Every count lives in the struct that owns its event, so turning
+    // telemetry off changes none of them.
+    const bool was_enabled = telemetry::enabled();
+    telemetry::setEnabled(false);
+    const auto [off, off_unconverged] = countedServiceRun();
+    telemetry::setEnabled(true);
+    const auto [on, on_unconverged] = countedServiceRun();
+    telemetry::setEnabled(was_enabled);
+
+    for (const auto *run : {&off.totals, &on.totals}) {
+        EXPECT_EQ(run->recordsDropped, 0u);
+        EXPECT_EQ(run->recordsOffered,
+                  run->recordsIngested + run->recordsDropped);
+        EXPECT_GT(run->windowsRun, 0u);
+    }
+    EXPECT_EQ(on.totals.recordsOffered, off.totals.recordsOffered);
+    EXPECT_EQ(on.totals.recordsIngested, off.totals.recordsIngested);
+    EXPECT_EQ(on.totals.recordsRejected, off.totals.recordsRejected);
+    EXPECT_EQ(on.totals.slicesAssembled, off.totals.slicesAssembled);
+    EXPECT_EQ(on.totals.windowsRun, off.totals.windowsRun);
+    EXPECT_EQ(on.totals.epSweeps, off.totals.epSweeps);
+    EXPECT_EQ(on.totals.epUnconvergedWindows,
+              off.totals.epUnconvergedWindows);
+    EXPECT_GT(on.totals.epUnconvergedWindows, 0u);
+    EXPECT_EQ(on.totals.epUnconvergedWindows, on_unconverged);
+    EXPECT_EQ(off.totals.epUnconvergedWindows, off_unconverged);
+    EXPECT_EQ(on.backend.windowsExecuted, on.totals.windowsRun);
+    EXPECT_EQ(off.backend.windowsExecuted, off.totals.windowsRun);
+
+    // The hub-wide delivery ledger balances once flushed.
+    for (const ServiceStats *run : {&off, &on}) {
+        EXPECT_GT(run->subscriptions.published, 0u);
+        EXPECT_EQ(run->subscriptions.published,
+                  run->subscriptions.delivered +
+                      run->subscriptions.dropped);
+    }
+    EXPECT_EQ(on.subscriptions.published, off.subscriptions.published);
+
+    // The registry keeps histograms; its only counters are the log
+    // counters, which no struct owns.
+    for (const telemetry::CounterSample &c :
+         telemetry::MetricsRegistry::global().scrape().counters)
+        EXPECT_TRUE(c.name == "log.warnings" || c.name == "log.errors")
+            << c.name;
 }
 
 TEST(MonitorService, ConcurrentSessionsStreamConcurrently)

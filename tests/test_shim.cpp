@@ -18,6 +18,7 @@
 #include <chrono>
 #include <cstring>
 #include <mutex>
+#include <optional>
 #include <string>
 #include <thread>
 #include <vector>
@@ -1049,29 +1050,48 @@ TEST(MonitorService, SnapshotTableFullDropsAndCounts)
 
 TEST(MonitorService, SelfMetricsPublishRecordsTelemetry)
 {
-    // Regression (PR 8): publishSelfMetrics used to bypass the
-    // publisher's publish() path, bumping shim.publishes itself but
-    // never recording shim.publish_ns — self-metrics publishes are
-    // ordinary publishes and must hit the same telemetry.
+    // Self-metrics publishes are ordinary publishes: each one is
+    // counted by the region's publish word (stats().snapshot) and
+    // sampled into shim.publish_ns like a tenant window.
     auto &registry = telemetry::MetricsRegistry::global();
     const bool was_enabled = telemetry::enabled();
     telemetry::setEnabled(true);
-    const std::uint64_t counter0 =
-        registry.counterValue("shim.publishes");
+
+    // An EP tolerance of 0 is never met: every window is unconverged.
+    MonitorServiceConfig cfg = snapshotServiceConfig();
+    cfg.sessionDefaults.streaming.inference.ep.maxSweeps = 2;
+    cfg.sessionDefaults.streaming.inference.ep.tolerance = 0.0;
+    MonitorService daemon(uarch(), cfg);
+    const SessionId id = daemon.open(monitoredSet());
+    daemon.ingestBatch(id,
+                       recordStream(measuredRun(monitoredSet(), 18, 7003)));
+    daemon.quiesce();
+
+    const std::uint64_t publishes0 = daemon.stats().snapshot.publishes;
     const std::uint64_t histogram0 =
         registry.histogramSnapshot("shim.publish_ns").count;
-
-    MonitorService daemon(uarch(), snapshotServiceConfig());
     EXPECT_TRUE(daemon.publishSelfMetrics());
-    EXPECT_EQ(registry.counterValue("shim.publishes"), counter0 + 1);
+    const ServiceStats stats = daemon.stats();
+    EXPECT_EQ(stats.snapshot.publishes, publishes0 + 1);
     EXPECT_EQ(registry.histogramSnapshot("shim.publish_ns").count,
               histogram0 + 1);
+    ASSERT_GT(stats.totals.windowsRun, 0u);
+    EXPECT_EQ(stats.totals.epUnconvergedWindows, stats.totals.windowsRun);
 
-    // And the reader sees the metrics as pseudo-session 0.
+    // And the reader sees the metrics as pseudo-session 0, the
+    // unconverged-window count among them.
     shim::SnapshotReader reader(*daemon.snapshotRegion());
     shim::PosteriorSnapshot snap;
     ASSERT_EQ(reader.read(0, snap), shim::ReadStatus::Ok);
-    EXPECT_FALSE(snap.counters.empty());
+    std::optional<double> unconverged;
+    for (const shim::SnapshotCounter &c : snap.counters) {
+        if (c.event == MonitorService::SelfEpUnconvergedWindows)
+            unconverged = c.posterior.mean;
+    }
+    ASSERT_TRUE(unconverged.has_value());
+    EXPECT_EQ(*unconverged,
+              static_cast<double>(stats.totals.epUnconvergedWindows));
+    daemon.close(id);
     telemetry::setEnabled(was_enabled);
 }
 

@@ -347,44 +347,36 @@ TEST(WindowSpans, PhasesAreMonotoneThroughTheService)
 
 TEST(EpCounters, UnconvergedWindowsAreCounted)
 {
-    // ep.unconverged_windows counts windows whose EP stopped at
-    // maxSweeps without meeting the tolerance.  A tolerance of 0 can
-    // never be met; an infinite one is met by the first sweep.
+    // InferenceResult::epUnconvergedWindows counts windows whose EP
+    // stopped at maxSweeps without meeting the tolerance.  A tolerance
+    // of 0 can never be met; an infinite one is met by the first
+    // sweep.  The engine counts whether or not telemetry is enabled.
     EnabledGuard guard;
-    setEnabled(true);
     const sim::MicroarchDescriptor uarch = sim::makeX86Skylake();
     const sim::PerfResult run =
         measuredRun(uarch, monitoredSet(uarch), 18, 77);
-    MetricsRegistry &registry = MetricsRegistry::global();
-    struct Counts
-    {
-        std::uint64_t windows, sweeps, unconverged;
-    };
     const auto inferWithTolerance = [&](double tolerance) {
         core::InferenceConfig cfg;
         cfg.windowSlices = 6;
         cfg.ep.maxSweeps = 2;
         cfg.ep.tolerance = tolerance;
-        const std::uint64_t sweeps = registry.counterValue("ep.sweeps");
-        const std::uint64_t unconverged =
-            registry.counterValue("ep.unconverged_windows");
-        const core::InferenceResult result = core::infer(uarch, run, cfg);
-        return Counts{result.windowsRun,
-                      registry.counterValue("ep.sweeps") - sweeps,
-                      registry.counterValue("ep.unconverged_windows") -
-                          unconverged};
+        return core::infer(uarch, run, cfg);
     };
 
-    const Counts never = inferWithTolerance(0.0);
-    EXPECT_EQ(never.windows, 5u);
-    EXPECT_EQ(never.sweeps, 2 * never.windows);
-    EXPECT_EQ(never.unconverged, never.windows);
+    for (const bool on : {true, false}) {
+        SCOPED_TRACE(on ? "telemetry enabled" : "telemetry disabled");
+        setEnabled(on);
+        const core::InferenceResult never = inferWithTolerance(0.0);
+        EXPECT_EQ(never.windowsRun, 5u);
+        EXPECT_EQ(never.epSweepsTotal, 2 * never.windowsRun);
+        EXPECT_EQ(never.epUnconvergedWindows, never.windowsRun);
 
-    const Counts first_sweep =
-        inferWithTolerance(std::numeric_limits<double>::infinity());
-    EXPECT_EQ(first_sweep.windows, 5u);
-    EXPECT_EQ(first_sweep.sweeps, first_sweep.windows);
-    EXPECT_EQ(first_sweep.unconverged, 0u);
+        const core::InferenceResult first_sweep =
+            inferWithTolerance(std::numeric_limits<double>::infinity());
+        EXPECT_EQ(first_sweep.windowsRun, 5u);
+        EXPECT_EQ(first_sweep.epSweepsTotal, first_sweep.windowsRun);
+        EXPECT_EQ(first_sweep.epUnconvergedWindows, 0u);
+    }
 }
 
 TEST(TraceCollector, ExportsModeledBackendPhasesAndCountsDrops)
